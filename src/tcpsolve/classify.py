@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import Tensor, SpectralBracket, identity, spectral_radius
+from .tensors import Tensor, identity, newton_on_support, spectral_radius
 
 __all__ = [
     "Verdict", "Certificate", "KSDecomposition",
@@ -157,42 +157,11 @@ def positive_witness_ok(tensor, x):
     return bool(np.all(x > 0) and np.all(tensor.contract(x) > 0))
 
 
-def _positive_vector_search(tensor, max_iter=60):
-    """Damped Newton iteration on A x^{m-1} = e from x = e.
-
-    Returns a strictly positive x with A x^{m-1} > 0 if one is found along
-    the way, else None.  Divergence and singular Jacobians just end the
-    search; the caller falls back to the spectral comparison.
-    """
-    n = tensor.dim
-    ones = np.ones(n)
-    x = ones.copy()
-    for _ in range(max_iter):
-        if positive_witness_ok(tensor, x):
-            return x
-        r = tensor.contract(x) - ones
-        jac = tensor.jacobian(x)
-        try:
-            dx = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(dx)):
-            return None
-        # keep the iterate well inside the positive orthant
-        alpha = 1.0
-        neg = dx < 0
-        if np.any(neg):
-            alpha = min(1.0, float(np.min(-0.95 * x[neg] / dx[neg])))
-        x = x + alpha * dx
-        if np.max(x) > 1e8:
-            return None
-    return x if positive_witness_ok(tensor, x) else None
-
-
 def is_nonsingular_m_tensor(tensor):
     """Nonsingular M-tensor check (the tensor must be a Z-tensor).
 
-    Decisive positive route: find x > 0 with A x^{m-1} > 0.  Fallback:
+    Decisive positive route: find x > 0 with A x^{m-1} > 0, trying x = e and
+    then damped Newton from e on A x^{m-1} = e.  Fallback:
     compare s = max diagonal entry against the bracketed spectral radius of
     B = s*I - A, which is nonnegative for Z-tensors.
     """
@@ -209,8 +178,11 @@ def is_nonsingular_m_tensor(tensor):
             Verdict.CERTIFIED_FALSE, "entry_scan", witness=e_i,
             detail=f"diagonal entry {(i,) * tensor.order} = {diag[i]} <= 0; "
                    f"at x = e_{i + 1} no index has x_i (A x^(m-1))_i > 0")
-    x = _positive_vector_search(tensor)
-    if x is not None:
+    # e itself often is a witness; otherwise a root of A x^{m-1} = e is one
+    x = ones = np.ones(tensor.dim)
+    if not positive_witness_ok(tensor, ones):
+        x = newton_on_support(tensor, ones, np.arange(tensor.dim), ones)
+    if x is not None and positive_witness_ok(tensor, x):
         return Certificate(Verdict.CERTIFIED_TRUE, "positive_vector", witness=x,
                            detail="x > 0 with A x^(m-1) > 0 found")
     s = float(np.max(diag))

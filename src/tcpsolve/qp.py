@@ -101,29 +101,29 @@ def chks(eps, a, b):
 
 
 def _split(z, n):
-    return z[0], z[1:n + 1], z[n + 1:2 * n + 1], z[2 * n + 1:]
+    return z[..., :1], z[..., 1:n + 1], z[..., n + 1:2 * n + 1], z[..., 2 * n + 1:]
 
 
 def kkt_residual(qp, z):
     """H(z) stacked as (eps, stationarity, equality, complementarity).
 
-    An all-zero row of Aeq denotes an absent equality constraint; its row of
-    the equality block reads h_i + mu_i instead, which pins the dangling
-    multiplier and keeps H' nonsingular without affecting d or lam.
+    z is one iterate of length 1 + 3n, or a (k, 1 + 3n) stack of iterates
+    with one H per row.  An all-zero row of Aeq denotes an absent equality
+    constraint; its row of the equality block reads h_i + mu_i instead,
+    which pins the dangling multiplier and keeps H' nonsingular without
+    affecting d or lam.
     """
-    n = qp.n
-    eps, d, mu, lam = _split(z, n)
-    t = qp.g + d
+    eps, d, mu, lam = _split(z, qp.n)
     absent = ~np.any(qp.Aeq, axis=1)
-    eq = qp.h + qp.Aeq @ d
+    eq = qp.h + d @ qp.Aeq.T
     if absent.any():
         eq = eq + np.where(absent, mu, 0.0)
     return np.concatenate([
-        [eps],
-        qp.B @ d - qp.Aeq.T @ mu - lam + qp.c,
+        eps,
+        d @ qp.B.T - mu @ qp.Aeq - lam + qp.c,
         eq,
-        chks(eps, t, lam),
-    ])
+        chks(eps, qp.g + d, lam),
+    ], axis=-1)
 
 
 def kkt_jacobian(qp, z):
@@ -160,24 +160,6 @@ def kkt_jacobian(qp, z):
     jac[rows, 1:n + 1] = np.diag(b_coef)
     jac[rows, 2 * n + 1:] = np.diag(a_coef)
     return jac, nkink
-
-
-def _residual_norms(qp, trials):
-    """||H(z)|| for a batch of iterates, one per row of trials."""
-    n = qp.n
-    eps = trials[:, :1]
-    d = trials[:, 1:n + 1]
-    mu = trials[:, n + 1:2 * n + 1]
-    lam = trials[:, 2 * n + 1:]
-    stat = d @ qp.B.T - mu @ qp.Aeq - lam + qp.c
-    eq = qp.h + d @ qp.Aeq.T
-    absent = ~np.any(qp.Aeq, axis=1)
-    if absent.any():
-        eq = eq + np.where(absent, mu, 0.0)
-    comp = chks(eps, qp.g + d, lam)
-    sq = eps[:, 0] ** 2 + np.sum(stat * stat, axis=1) \
-        + np.sum(eq * eq, axis=1) + np.sum(comp * comp, axis=1)
-    return np.sqrt(sq)
 
 
 def perturbation(h_norm, gamma):
@@ -272,7 +254,7 @@ def solve_qp(qp, start=None, config=None):
             z, h_val, h_norm = trial, trial_val, trial_norm
             continue
         trials = z + alphas[:, None] * dz
-        norms = _residual_norms(inner, trials)
+        norms = np.linalg.norm(kkt_residual(inner, trials), axis=1)
         passing = np.flatnonzero(norms <= (1.0 - decrease * alphas) * h_norm)
         if passing.size == 0:
             break  # stalled line search: report as max_iter with best iterate

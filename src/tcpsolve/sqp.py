@@ -16,12 +16,14 @@ returns the sparsest verified solution, which is the intended entry point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import classify
 from .qp import QP, SmoothingNewtonConfig, solve_qp
+from .tensors import newton_on_support
 
 __all__ = ["SQPConfig", "SolveReport", "IterationRecord", "Verification",
            "MultistartResult", "sqp_solve", "multistart_sparse", "verify_solution",
@@ -41,11 +43,11 @@ class SQPConfig:
     """Tuning knobs for `sqp_solve` and `multistart_sparse`.
 
     eps1 bounds the QP step 1-norm and eps2 the primal infeasibility at
-    termination; delta is the safety margin of the penalty update; sigma0
-    the initial penalty weight (the merit function uses 1/sigma).  Steps are
-    backtracked by rho until the Armijo condition with slope fraction eta
-    holds.  snap_tol bounds the components the final cleanup may round to
-    exact zero.
+    termination; eps2 is also the tolerance at which a point from the
+    support solve must pass `verify_solution` on both systems.  delta is the
+    safety margin of the penalty update; sigma0 the initial penalty weight
+    (the merit function uses 1/sigma).  Steps are backtracked by rho until
+    the Armijo condition with slope fraction eta holds.
     """
 
     eta: float = 0.1
@@ -56,10 +58,7 @@ class SQPConfig:
     sigma0: float = 0.8
     max_iter: int = 500
     max_backtracks: int = 50
-    snap_tol: float = 1e-5
-    reduce_support: bool = True
     qp: SmoothingNewtonConfig = field(default_factory=SmoothingNewtonConfig)
-    debug_checks: bool = False
     keep_trace: bool = False
 
 
@@ -78,9 +77,9 @@ class IterationRecord:
 class SolveReport:
     """Outcome of one SQP run.
 
-    `iterations` counts the outer steps of the trajectory that produced x;
-    discarded recovery or support-reduction attempts are reported in `notes`
-    but do not inflate the count.
+    `iterations` counts every SQP outer step the run took.  When a Newton
+    solve on a candidate support verifies after the loop, x is that point
+    and the status is `kkt`; `step_norm` stays that of the last QP step.
     """
 
     x: np.ndarray
@@ -205,77 +204,51 @@ def verify_solution(problem, x):
     )
 
 
-def _cleanup_score(problem, x):
-    h = constraint_value(problem, x)
-    return max(float(np.max(np.abs(h))), -float(np.min(x)), 0.0)
+def _first_verified(problem, candidates, eps2):
+    """Newton point of the first (support, start) pair that verifies, or None.
 
-
-def _snap_zeros(problem, x, snap_tol):
-    """Round trailing near-zero components to exact zero when it does not hurt.
-
-    Degenerate constraint rows shrink a vanishing coordinate geometrically,
-    so runs stop with components around 1e-6 that are zeros of the exact
-    solution.  Snapping is only accepted when the equation residual does not
-    degrade (beyond roundoff), so it can never manufacture a solution.
+    Verified: `verify_solution` passes on all n rows of both systems at eps2.
     """
-    candidates = [i for i in range(x.size) if x[i] != 0.0 and abs(x[i]) <= snap_tol]
-    if not candidates:
-        return x, 0
-    base = _cleanup_score(problem, x)
-    trial = x.copy()
-    trial[candidates] = 0.0
-    if _cleanup_score(problem, trial) <= base + 1e-12:
-        return trial, len(candidates)
-    current = x.copy()
-    snapped = 0
-    for i in sorted(candidates, key=lambda i: abs(x[i])):
-        trial = current.copy()
-        trial[i] = 0.0
-        if _cleanup_score(problem, trial) <= _cleanup_score(problem, current) + 1e-12:
-            current = trial
-            snapped += 1
-    return current, snapped
+    for support, x0 in candidates:
+        x = newton_on_support(problem.tensor, problem.q, support, x0)
+        if x is None:
+            continue
+        check = verify_solution(problem, x)
+        if max(check.max_violation, check.equation_residual) <= eps2:
+            return x
+    return None
 
 
-def _reduce_support(problem, report, cfg):
-    """Try zeroing each support component and re-solving; keep strict wins.
+def _drop_one(support, x0):
+    """(support minus i, x0) for each i in support, smallest x0_i first."""
+    for i in support[np.argsort(x0[support], kind="stable")]:
+        yield support[support != i], x0
 
-    The SQP iteration stops at whichever KKT point its basin contains, and
-    problems with several complementarity solutions have dense ones.  Since
-    the objective is exactly the support mass, restarting from the converged
-    point with one coordinate forced to zero either re-converges somewhere
-    strictly sparser/cheaper (accepted) or fails (discarded), so the
-    returned point is always a verified KKT point of the same problem.
+
+def _support_solution(problem, x, eps2):
+    """Sparsest verified point found by Newton solves on candidate supports.
+
+    The SQP iterate tells which coordinates are zero, but it can stop short:
+    degenerate rows shrink a vanishing coordinate only geometrically, and
+    runs park on merit ridges.  Fixing the guessed zeros leaves a square
+    system on the support, which damped Newton settles directly.  The first
+    candidate that verifies wins: the support of x, that support minus one
+    coordinate, every coordinate from e, and all but one coordinate from e.
+    Coordinates are then dropped one at a time while a verified point
+    remains.  Returns None when no candidate verifies.
     """
-    sub_cfg = replace(cfg, reduce_support=False,
-                      max_iter=min(cfg.max_iter, 120))
-    best = report
-    notes = list(report.notes)
-    for _ in range(2 * problem.dim + 1):
-        improved = False
-        support = np.flatnonzero(best.x > SPARSITY_TOL)
-        for i in sorted(support, key=lambda j: -best.x[j]):
-            x0 = best.x.copy()
-            x0[i] = 0.0
-            trial = sqp_solve(problem, x0, best.mu, best.lam, sub_cfg)
-            wins = trial.status == KKT and trial.tcp_residual <= cfg.eps2 and (
-                trial.l0 < best.l0
-                or (trial.l0 == best.l0
-                    and trial.objective < best.objective - 1e-8))
-            if wins:
-                notes.append(
-                    f"support reduction: zeroing x[{i}] reached a better KKT "
-                    f"point (l0 {best.l0} -> {trial.l0}, objective "
-                    f"{best.objective:.6g} -> {trial.objective:.6g})")
-                best = trial
-                improved = True
-                break
-        if not improved:
-            break
-    if best is report:
-        return report
-    return replace(best, start_point=report.start_point,
-                   notes=tuple(notes) + best.notes)
+    ones = np.ones(problem.dim)
+    support = np.flatnonzero(x > SPARSITY_TOL)
+    everything = np.arange(problem.dim)
+    found = _first_verified(problem, itertools.chain(
+        [(support, x)], _drop_one(support, x),
+        [(everything, ones)], _drop_one(everything, ones)), eps2)
+    best = None
+    while found is not None:
+        best = found
+        found = _first_verified(
+            problem, _drop_one(np.flatnonzero(best > 0.0), best), eps2)
+    return best
 
 
 def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
@@ -311,8 +284,10 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             # far from a solution the linearized subproblem can be infeasible
             # (square Aeq forces d, which may violate the bounds); the inexact
             # direction is still useful as long as the merit line search
-            # accepts it, so only an unusable direction aborts the run
-            if not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) > 1e10:
+            # accepts it, so only an unusable direction aborts the run; a
+            # zero step is unusable too, since it would leave x frozen
+            if (not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) > 1e10
+                    or not np.any(d)):
                 status = QP_FAIL
                 notes.append(f"iteration {k}: QP subproblem unusable (status "
                              f"{qp_res.status}, residual {qp_res.residual:.3e})")
@@ -349,7 +324,9 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         if not accepted:
             for _ in range(cfg.max_backtracks + 1):
                 x_trial = x + alpha * d
-                if merit(x_trial, constraint_value(problem, x_trial), sigma) \
+                # a step lost to rounding passes the test without moving x
+                if not np.array_equal(x_trial, x) and merit(
+                        x_trial, constraint_value(problem, x_trial), sigma) \
                         <= phi0 + cfg.eta * alpha * slope:
                     accepted = True
                     break
@@ -364,7 +341,8 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             alpha = 1.0
             for _ in range(cfg.max_backtracks + 1):
                 x_trial = x + alpha * d_r
-                if merit(x_trial, constraint_value(problem, x_trial), sigma) \
+                if not np.array_equal(x_trial, x) and merit(
+                        x_trial, constraint_value(problem, x_trial), sigma) \
                         <= phi0 - 1e-12:
                     accepted = True
                     d = d_r
@@ -385,11 +363,6 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         mu, lam = least_squares_multipliers(jac_new)
         y = -(jac_new - jac).T @ mu
         b = damped_bfgs(b, alpha * d, y)
-        if cfg.debug_checks:
-            eigs = np.linalg.eigvalsh(b)
-            if eigs[0] <= 0.0 or eigs[-1] / max(eigs[0], 1e-300) > 1e12:
-                notes.append(f"iteration {k}: curvature matrix ill conditioned "
-                             f"(eig range [{eigs[0]:.3e}, {eigs[-1]:.3e}])")
         if cfg.keep_trace:
             trace.append(IterationRecord(
                 iteration=k, step_norm=step_norm, alpha=alpha, sigma=sigma,
@@ -404,63 +377,17 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
     if restorations > 1:
         notes.append(f"{restorations} restoration steps taken")
 
-    if status in (LINESEARCH_FAIL, MAX_ITER):
-        # runs often die within snapping distance of a solution because the
-        # subproblem degenerates there; zero what the feasibility measure
-        # cannot distinguish from zero and rerun the termination test from a
-        # fresh subproblem, so the upgrade is earned, not assumed
-        x_try, snapped = _snap_zeros(problem, x, 100.0 * cfg.snap_tol)
-        h_try = constraint_value(problem, x_try)
-        if infeasibility(x_try, h_try) <= cfg.eps2:
-            sub = QP(B=b, c=ones, Aeq=constraint_jacobian(problem, x_try),
-                     h=h_try, g=x_try)
-            qp_try = solve_qp(sub, config=cfg.qp)
-            d_norm = float(np.sum(np.abs(qp_try.d)))
-            if qp_try.converged and d_norm <= cfg.eps1:
-                x = x_try
-                status = KKT
-                step_norm = d_norm
-                notes.append(f"terminal cleanup: snapped {snapped} "
-                             "component(s) and re-verified the KKT test")
-
-    if status in (LINESEARCH_FAIL, MAX_ITER) and cfg.reduce_support:
-        # runs park on merit ridges where one coordinate must cross a region
-        # the merit penalizes before the equations improve; committing a
-        # coordinate to zero decouples the system, and the restart only
-        # counts if it passes the full termination test on its own
-        sub_cfg = replace(cfg, reduce_support=False,
-                          max_iter=min(cfg.max_iter, 120))
-        base = np.maximum(x, 0.0)
-        order = np.argsort(np.abs(x))
-        candidates = [(i, "kept") for i in order] + [(i, "neutral") for i in order]
-        for i, kind in candidates:
-            if kind == "kept":
-                x0_retry = base.copy()
-            else:
-                # the final iterate itself may be degenerate (dead rows with
-                # exactly zero gradients), so also try the midpoint of the
-                # start distribution with the chosen coordinate committed
-                x0_retry = np.full(n, 0.5)
-            x0_retry[i] = 0.0
-            trial = sqp_solve(problem, x0_retry, config=sub_cfg)
-            if trial.status == KKT and trial.tcp_residual <= cfg.eps2:
-                notes.append(f"recovered by restarting with x[{i}] fixed "
-                             "to zero")
-                x, mu, lam = trial.x, trial.mu, trial.lam
-                status = KKT
-                step_norm = trial.step_norm
-                iterations = trial.iterations
-                break
-
+    found = _support_solution(problem, x, cfg.eps2)
+    if found is not None:
+        if status != KKT:
+            notes.append(f"{status} run completed by a Newton solve on "
+                         "a candidate support")
+        x, status = found, KKT
     if status == KKT:
         mu, lam = least_squares_multipliers(constraint_jacobian(problem, x))
-        x, snapped = _snap_zeros(problem, x, cfg.snap_tol)
-        if snapped:
-            notes.append(f"snapped {snapped} near-zero component(s) to exact zero")
-            mu, lam = least_squares_multipliers(constraint_jacobian(problem, x))
 
     h = constraint_value(problem, x)
-    report = SolveReport(
+    return SolveReport(
         x=x,
         mu=mu,
         lam=lam,
@@ -476,9 +403,6 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         notes=tuple(notes),
         trace=tuple(trace),
     )
-    if cfg.reduce_support and report.converged and report.l0 > 0:
-        report = _reduce_support(problem, report, cfg)
-    return report
 
 
 def _reformulation_notes(problem):

@@ -11,13 +11,13 @@ problem asks for x >= 0 with F(x) - q >= 0 and x'(F(x) - q) = 0.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Tensor", "SpectralBracket", "identity", "spectral_radius"]
+__all__ = ["Tensor", "SpectralBracket", "identity", "newton_on_support",
+           "spectral_radius"]
 
 
 def _distinct_permutations(seq):
@@ -215,6 +215,50 @@ class Tensor:
 def identity(order, dim):
     """Identity tensor: ones on the diagonal, zero elsewhere."""
     return Tensor(order, dim, {(i,) * order: 1.0 for i in range(dim)})
+
+
+def newton_on_support(tensor, rhs, support, x0):
+    """Damped Newton on (A x^{m-1})_S = rhs_S with x = 0 off S and x_S > 0.
+
+    S is the index array `support`; x0 gives the start on S and must be
+    positive there.  Each step is cut to at most 95% of the way to the
+    orthant boundary, then halved until the max-norm residual on S drops.
+    The iteration ends after 60 steps, or sooner when that residual reaches
+    roundoff or no halving helps.  Returns the last iterate, or None when
+    the Jacobian block on S is singular or the step is not finite; callers
+    verify the point.
+    """
+    x = np.zeros(tensor.dim)
+    x[support] = x0[support]
+    if support.size == 0:
+        return x
+    rhs = rhs[support]
+    r = tensor.contract(x)[support] - rhs
+    norm = float(np.max(np.abs(r)))
+    tol = 1e-14 * max(1.0, float(np.max(np.abs(rhs))))
+    for _ in range(60):
+        if norm <= tol:
+            break
+        try:
+            dx = np.linalg.solve(tensor.jacobian(x)[np.ix_(support, support)], -r)
+        except np.linalg.LinAlgError:
+            return None
+        if not np.all(np.isfinite(dx)):
+            return None
+        neg = dx < 0
+        alpha = min(1.0, float(np.min(-0.95 * x[support][neg] / dx[neg]))) if neg.any() else 1.0
+        while alpha > 1e-10:
+            trial = x.copy()
+            trial[support] += alpha * dx
+            r_trial = tensor.contract(trial)[support] - rhs
+            norm_trial = float(np.max(np.abs(r_trial)))
+            if norm_trial < norm:
+                break
+            alpha *= 0.5
+        else:
+            break
+        x, r, norm = trial, r_trial, norm_trial
+    return x
 
 
 @dataclass(frozen=True)

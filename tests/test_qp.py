@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from tcpsolve import QP, SmoothingNewtonConfig, solve_qp
-from tcpsolve.qp import (_residual_norms, chks, default_start, kkt_jacobian,
-                         kkt_residual, perturbation)
+from tcpsolve.qp import (chks, default_start, kkt_jacobian, kkt_residual,
+                         perturbation)
 
 
 def random_feasible_qp(rng, n):
@@ -127,16 +127,21 @@ class TestResidual:
                                    [0.0, 1.0, -1.0, 0.0], atol=1e-15)
 
     def test_batch_norms_match_single(self):
+        # one kkt_residual call on a stack gives, row by row, the residuals
+        # (and so the norms) of single-point calls
         rng = np.random.default_rng(31)
         for _ in range(20):
             n = int(rng.integers(1, 5))
             qp = random_feasible_qp(rng, n)
             trials = rng.standard_normal((7, 1 + 3 * n))
             trials[:, 0] = np.abs(trials[:, 0])
-            norms = _residual_norms(qp, trials)
-            for row, norm in zip(trials, norms):
-                assert norm == pytest.approx(
-                    float(np.linalg.norm(kkt_residual(qp, row))), rel=1e-12)
+            batch = kkt_residual(qp, trials)
+            assert batch.shape == trials.shape
+            norms = np.linalg.norm(batch, axis=1)
+            for row, value, norm in zip(trials, batch, norms):
+                single = kkt_residual(qp, row)
+                np.testing.assert_allclose(value, single, rtol=1e-12, atol=1e-14)
+                assert norm == pytest.approx(float(np.linalg.norm(single)), rel=1e-12)
 
     def test_perturbation_scale(self):
         assert perturbation(0.0, 0.2) == 0.0

@@ -2,14 +2,29 @@
 damped BFGS update against a positive-definiteness sweep, and the
 multistart driver against known sparsest solutions of the builtins."""
 
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tcpsolve import (SPARSITY_TOL, SQPConfig, TCPProblem, Tensor, builtin,
-                      multistart_sparse, sqp_solve, verify_solution)
-from tcpsolve.sqp import (constraint_jacobian, constraint_value, damped_bfgs,
-                          infeasibility, least_squares_multipliers, merit,
-                          update_penalty)
+                      generate_ks_instance, multistart_sparse,
+                      reference_solution, sqp, sqp_solve, verify_solution)
+from tcpsolve.sqp import (_support_solution, constraint_jacobian,
+                          constraint_value, damped_bfgs, infeasibility,
+                          least_squares_multipliers, merit, update_penalty)
+
+
+def multistart_start(problem, k, seed=42):
+    """(x0, mu0, lam0) of start k in multistart_sparse(problem, seed=seed)."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+    return tuple(rng.uniform(0.0, 1.0, problem.dim) for _ in range(3))
+
+
+def solves_both_systems(problem, x, tol):
+    check = verify_solution(problem, x)
+    return max(check.max_violation, check.equation_residual) <= tol
 
 
 class TestConstraintValue:
@@ -234,8 +249,100 @@ class TestSQPSolve:
         report = sqp_solve(problem, np.array([0.9, 0.9]))
         assert report.l0 == int(np.sum(report.x > SPARSITY_TOL))
 
+    def test_never_calls_itself(self, monkeypatch):
+        depth = {"now": 0, "max": 0}
+        real = sqp.sqp_solve
+
+        def counted(*args, **kwargs):
+            depth["now"] += 1
+            depth["max"] = max(depth["max"], depth["now"])
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth["now"] -= 1
+
+        monkeypatch.setattr(sqp, "sqp_solve", counted)
+        # ex3_1 has a dense and a sparse solution; the generated instance
+        # has starts that end in linesearch_fail
+        multistart_sparse(builtin("ex3_1"), n_starts=4, seed=42)
+        multistart_sparse(generate_ks_instance(4, 5, density=0.116, seed=1694675156),
+                          n_starts=1, seed=42)
+        assert depth["max"] == 1
+
+    def test_step_lost_to_rounding_is_rejected(self, monkeypatch):
+        # a converged QP step far below the spacing of x: every backtracked
+        # trial rounds back to x, and the Armijo test would accept one of
+        # them through rounding, leaving the run frozen
+        real = sqp.solve_qp
+
+        def tiny_step(qp, start=None, config=None):
+            res = real(qp, start=start, config=config)
+            return replace(res, d=np.full(qp.n, 1e-30))
+
+        monkeypatch.setattr(sqp, "solve_qp", tiny_step)
+        problem = builtin("ex5_1")
+        x0 = np.array([0.9, 0.9])
+        cfg = SQPConfig(max_iter=5, keep_trace=True)
+        report = sqp_solve(problem, x0, config=cfg)
+        assert report.trace
+        # every accepted step moved x, so the infeasibility changed each time
+        infeas = [infeasibility(x0, constraint_value(problem, x0))]
+        infeas += [rec.infeasibility for rec in report.trace]
+        assert all(a != b for a, b in zip(infeas, infeas[1:]))
+
+    def test_stuck_start_ends_at_once(self):
+        # the QP at this ex5_5 start returns a zero inexact step; the run
+        # stops there and the support solve finds e_9
+        problem = builtin("ex5_5")
+        report = sqp_solve(problem, *multistart_start(problem, 6))
+        assert report.converged
+        assert report.iterations <= 5
+        assert solves_both_systems(problem, report.x, SQPConfig().eps2)
+        np.testing.assert_array_equal(report.x, np.eye(9)[8])
+
+
+class TestSupportSolve:
+
+    # the builtin problems with n <= 4
+    SMALL_BUILTINS = ("ex3_1", "ex5_1", "ex5_2", "ex5_3", "ex5_4")
+
+    @pytest.mark.parametrize("name", SMALL_BUILTINS)
+    def test_every_point_verifies(self, name):
+        problem = builtin(name)
+        eps2 = SQPConfig().eps2
+        n = problem.dim
+        found = 0
+        for mask in itertools.product((False, True), repeat=n):
+            x = np.where(mask, 0.5, 0.0)
+            point = _support_solution(problem, x, eps2)
+            if point is None:
+                continue
+            found += 1
+            assert solves_both_systems(problem, point, eps2)
+        assert found > 0
+
+    @pytest.mark.parametrize("name", SMALL_BUILTINS)
+    def test_reference_support_gives_reference(self, name):
+        problem = builtin(name)
+        ref, tol = reference_solution(name)
+        point = _support_solution(problem, ref, SQPConfig().eps2)
+        np.testing.assert_allclose(point, ref, atol=tol)
+        assert np.array_equal(point == 0.0, ref == 0.0)
+
 
 class TestMultistart:
+
+    @pytest.mark.parametrize("order, dim, density, seed",
+                             [(3, 6, 0.197, 1210382689), (4, 5, 0.116, 1694675156)])
+    def test_generated_m_tensor_root(self, order, dim, density, seed):
+        # diagonally dominant Z-tensors with q > 0: the unique solution is
+        # the positive root of A x^(m-1) = q
+        problem = generate_ks_instance(order, dim, density=density, seed=seed)
+        result = multistart_sparse(problem, n_starts=1, seed=42)
+        assert result.success_rate == 1.0
+        best = result.best
+        assert np.all(best.x > 0.0)
+        assert solves_both_systems(problem, best.x, SQPConfig().eps2)
 
     def test_deterministic_reports(self):
         problem = builtin("ex5_1")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tcpsolve import Tensor, spectral_radius
-from tcpsolve.tensors import identity
+from tcpsolve.tensors import identity, newton_on_support
 
 
 def dense_contract(array, x):
@@ -270,6 +270,34 @@ class TestJacobian:
             fd = fd_jacobian(t, x)
             scale = np.maximum(np.abs(jac), 1e-8)
             assert float(np.max(np.abs(fd - jac) / scale)) <= 1e-6
+
+
+class TestNewtonOnSupport:
+
+    def test_identity_root_on_support(self):
+        # I x^2 = (x1^2, x2^2, x3^2): on S = {0, 2} the root is sqrt(rhs_S)
+        t = identity(3, 3)
+        x = newton_on_support(t, np.array([4.0, 9.0, 2.0]), np.array([0, 2]),
+                              np.ones(3))
+        np.testing.assert_allclose(x, [2.0, 0.0, math.sqrt(2.0)], rtol=1e-14)
+        assert x[1] == 0.0
+
+    def test_stays_inside_orthant(self):
+        # -x^2 = 1 has no root; every Newton step heads for x <= 0, and each
+        # is cut short so the iterate stays strictly positive
+        t = Tensor(3, 1, {(0, 0, 0): -1.0})
+        x = newton_on_support(t, np.ones(1), np.array([0]), np.ones(1))
+        assert 0.0 < x[0] < 1e-3
+
+    def test_empty_support_gives_zero(self):
+        x = newton_on_support(identity(3, 2), np.ones(2), np.array([], dtype=np.intp),
+                              np.ones(2))
+        np.testing.assert_array_equal(x, np.zeros(2))
+
+    def test_singular_block_gives_none(self):
+        # row 2 of the map is identically zero, so its Jacobian row is too
+        t = Tensor(3, 2, {(0, 0, 0): 1.0})
+        assert newton_on_support(t, np.ones(2), np.array([0, 1]), np.ones(2)) is None
 
 
 class TestSpectralRadius:
