@@ -145,6 +145,9 @@ def _solve_payload(problem, result, args):
 
 
 def cmd_solve(args):
+    if args.starts < 1:
+        print("error: --starts must be >= 1", file=sys.stderr)
+        return 2
     problem = _load_solvable(args, lambda m: print(f"error: {m}", file=sys.stderr))
     if problem is None:
         return 2
@@ -253,6 +256,9 @@ def cmd_classify(args):
 # bench
 
 def cmd_bench(args):
+    if args.starts < 1:
+        print("error: --starts must be >= 1", file=sys.stderr)
+        return 2
     outdir = Path(args.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)

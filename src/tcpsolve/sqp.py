@@ -6,9 +6,12 @@ The sparsest-solution problem is relaxed to
 
 and solved by sequential quadratic programming: each iteration linearizes
 the equality constraint, solves the quadratic subproblem with the smoothing
-Newton method from `qp`, and globalizes with an l1 exact penalty line
-search.  Lagrangian curvature is tracked by damped BFGS updates, so only
-constraint values and Jacobians of the tensor map are ever needed.
+Newton method from `qp`, and globalizes with one Armijo backtracking line
+search on the l1 exact penalty merit.  Lagrangian curvature is tracked by
+damped BFGS updates, so only constraint values and Jacobians of the tensor
+map are ever needed.  A search that finds no merit decrease ends the run;
+like every other stop, it is followed by Newton solves on candidate
+supports of the final iterate.
 
 `multistart_sparse` runs the solver from a batch of seeded random starts and
 returns the sparsest verified solution, which is the intended entry point.
@@ -47,7 +50,9 @@ class SQPConfig:
     support solve must pass `verify_solution` on both systems.  delta is the
     safety margin of the penalty update; sigma0 the initial penalty weight
     (the merit function uses 1/sigma).  Steps are backtracked by rho until
-    the Armijo condition with slope fraction eta holds.
+    the Armijo condition with slope fraction eta holds, the slope capped at
+    -1e-12 so that a flat one still demands a decrease; after max_backtracks
+    halvings without one the run ends as `linesearch_fail`.
     """
 
     eta: float = 0.1
@@ -256,10 +261,13 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
     cfg = config or SQPConfig()
     n = problem.dim
     x = np.array(x0, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
     mu = np.zeros(n) if mu0 is None else np.array(mu0, dtype=float)
     lam = np.ones(n) if lam0 is None else np.array(lam0, dtype=float)
+    for name, v in (("x0", x), ("mu0", mu), ("lam0", lam)):
+        if v.shape != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"{name} must be finite")
     start_point = x.copy()
     b = np.eye(n)
     sigma = cfg.sigma0
@@ -270,7 +278,6 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
     iterations = 0
     step_norm = np.inf
     inexact_qps = 0
-    restorations = 0
 
     for k in range(cfg.max_iter):
         h = constraint_value(problem, x)
@@ -304,59 +311,25 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             break
 
         sigma = update_penalty(sigma, mu, lam, cfg.delta)
-        slope = float(np.sum(d)) - infeas / sigma
+        # a flat or uphill slope estimate (roundoff at stationarity, or
+        # multipliers blown up by degenerate rows) still demands a plain
+        # decrease; when none is found the support solve takes over
+        slope = min(float(np.sum(d)) - infeas / sigma, -1e-12)
         phi0 = merit(x, h, sigma)
         alpha = 1.0
-        accepted = False
-        if slope > -1e-14:
-            # the slope estimate goes flat either at stationarity (roundoff)
-            # or when degenerate rows blow up the subproblem multipliers; the
-            # full step is taken and the event recorded, unless it would
-            # destroy the merit outright (bounded growth keeps escape hops
-            # recoverable, order-of-magnitude blowups are not)
-            phi_full = merit(x + d, constraint_value(problem, x + d), sigma)
-            if phi_full <= 10.0 * max(phi0, 1.0):
-                accepted = True
-                notes.append(f"iteration {k}: merit slope {slope:.3e} not "
-                             "negative, unit step taken")
-            else:
-                slope = -1e-12  # destructive direction: demand plain decrease
-        if not accepted:
-            for _ in range(cfg.max_backtracks + 1):
-                x_trial = x + alpha * d
-                # a step lost to rounding passes the test without moving x
-                if not np.array_equal(x_trial, x) and merit(
-                        x_trial, constraint_value(problem, x_trial), sigma) \
-                        <= phi0 + cfg.eta * alpha * slope:
-                    accepted = True
-                    break
-                alpha *= cfg.rho
-        if not accepted:
-            # restoration fallback: the subproblem direction is uphill in the
-            # merit (its linearization is not trusted this far out), so pull
-            # the iterate toward feasibility along the residual gradient and
-            # demand a plain strict decrease
-            d_r = -jac.T @ h
-            d_r /= max(1.0, float(np.max(np.abs(d_r))))
-            alpha = 1.0
-            for _ in range(cfg.max_backtracks + 1):
-                x_trial = x + alpha * d_r
-                if not np.array_equal(x_trial, x) and merit(
-                        x_trial, constraint_value(problem, x_trial), sigma) \
-                        <= phi0 - 1e-12:
-                    accepted = True
-                    d = d_r
-                    restorations += 1
-                    if restorations == 1:
-                        notes.append(f"iteration {k}: restoration step along "
-                                     "the residual gradient")
-                    break
-                alpha *= cfg.rho
-            if not accepted:
-                status = LINESEARCH_FAIL
-                notes.append(f"iteration {k}: no merit decrease within "
-                             f"{cfg.max_backtracks} backtracks")
+        for _ in range(cfg.max_backtracks + 1):
+            x_trial = x + alpha * d
+            # a step lost to rounding passes the test without moving x
+            if not np.array_equal(x_trial, x) and merit(
+                    x_trial, constraint_value(problem, x_trial), sigma) \
+                    <= phi0 + cfg.eta * alpha * slope:
                 break
+            alpha *= cfg.rho
+        else:
+            status = LINESEARCH_FAIL
+            notes.append(f"iteration {k}: no merit decrease within "
+                         f"{cfg.max_backtracks} backtracks")
+            break
 
         x_new = x + alpha * d
         jac_new = constraint_jacobian(problem, x_new)
@@ -374,8 +347,6 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
     if inexact_qps > 1:
         notes.append(f"{inexact_qps} of {iterations} QP subproblems solved "
                      "inexactly")
-    if restorations > 1:
-        notes.append(f"{restorations} restoration steps taken")
 
     found = _support_solution(problem, x, cfg.eps2)
     if found is not None:
@@ -431,6 +402,8 @@ def multistart_sparse(problem, n_starts=20, seed=42, config=None):
     success when it reaches the KKT test and its complementarity violation
     is within the infeasibility tolerance.
     """
+    if n_starts < 1:
+        raise ValueError("n_starts must be >= 1")
     cfg = config or SQPConfig()
     n = problem.dim
     notes = _reformulation_notes(problem)

@@ -57,6 +57,19 @@ class TestExitCodes:
         assert code == 1
         assert "no start converged" in out
 
+    @pytest.mark.parametrize("starts", ["0", "-1"])
+    def test_solve_without_starts_is_usage_error(self, capsys, starts):
+        code, out, err = run(capsys, "solve", "--builtin", "ex5_1",
+                             "--starts", starts)
+        assert code == 2
+        assert "--starts must be >= 1" in err
+
+    def test_bench_without_starts_is_usage_error(self, capsys, tmp_path):
+        code, out, err = run(capsys, "bench", "--out", str(tmp_path),
+                             "--starts", "0")
+        assert code == 2
+        assert "--starts must be >= 1" in err
+
     def test_gen_bad_density(self, capsys, tmp_path):
         code, out, err = run(capsys, "gen", "--order", "3", "--dim", "2",
                              "--density", "1.5", "--out", str(tmp_path / "g.tcp"))

@@ -272,7 +272,8 @@ class TestSQPSolve:
     def test_step_lost_to_rounding_is_rejected(self, monkeypatch):
         # a converged QP step far below the spacing of x: every backtracked
         # trial rounds back to x, and the Armijo test would accept one of
-        # them through rounding, leaving the run frozen
+        # them through rounding, leaving the run frozen; instead the search
+        # fails at once and the support solve takes over
         real = sqp.solve_qp
 
         def tiny_step(qp, start=None, config=None):
@@ -280,25 +281,36 @@ class TestSQPSolve:
             return replace(res, d=np.full(qp.n, 1e-30))
 
         monkeypatch.setattr(sqp, "solve_qp", tiny_step)
-        problem = builtin("ex5_1")
-        x0 = np.array([0.9, 0.9])
         cfg = SQPConfig(max_iter=5, keep_trace=True)
-        report = sqp_solve(problem, x0, config=cfg)
-        assert report.trace
-        # every accepted step moved x, so the infeasibility changed each time
-        infeas = [infeasibility(x0, constraint_value(problem, x0))]
-        infeas += [rec.infeasibility for rec in report.trace]
-        assert all(a != b for a, b in zip(infeas, infeas[1:]))
+        report = sqp_solve(builtin("ex5_1"), np.array([0.9, 0.9]), config=cfg)
+        assert report.iterations == 1
+        assert report.trace == ()
+        assert any("no merit decrease" in note for note in report.notes)
 
-    def test_stuck_start_ends_at_once(self):
-        # the QP at this ex5_5 start returns a zero inexact step; the run
-        # stops there and the support solve finds e_9
-        problem = builtin("ex5_5")
-        report = sqp_solve(problem, *multistart_start(problem, 6))
+    @pytest.mark.parametrize("name, k", [("ex5_5", 6), ("ex5_5", 7),
+                                         ("ex5_5", 19), ("ex5_3", 19)])
+    def test_stuck_start_ends_at_once(self, name, k):
+        # ex5_5 start 6 gets a zero inexact QP step; at the other starts
+        # no step decreases the merit; each run stops there and the support
+        # solve finds the reference point
+        problem = builtin(name)
+        report = sqp_solve(problem, *multistart_start(problem, k))
         assert report.converged
         assert report.iterations <= 5
         assert solves_both_systems(problem, report.x, SQPConfig().eps2)
-        np.testing.assert_array_equal(report.x, np.eye(9)[8])
+        np.testing.assert_array_equal(report.x, reference_solution(name)[0])
+
+    @pytest.mark.parametrize("arg, value", [
+        ("x0", [np.nan, 0.5]), ("x0", [0.5, 0.5, 0.5]),
+        ("mu0", [0.5, np.inf]), ("mu0", [0.5]),
+        ("lam0", [-np.inf, 0.5]), ("lam0", [[0.5, 0.5]])],
+        ids=["x0-nan", "x0-shape", "mu0-inf", "mu0-shape", "lam0-inf",
+             "lam0-shape"])
+    def test_bad_start_is_rejected(self, arg, value):
+        start = {"x0": np.full(2, 0.5), "mu0": None, "lam0": None}
+        start[arg] = value
+        with pytest.raises(ValueError, match=arg):
+            sqp_solve(builtin("ex5_1"), **start)
 
 
 class TestSupportSolve:
@@ -392,6 +404,11 @@ class TestMultistart:
                              name="dense-ones")
         result = multistart_sparse(problem, n_starts=2, seed=3)
         assert any("not certified" in note for note in result.notes)
+
+    @pytest.mark.parametrize("n_starts", [0, -1])
+    def test_no_starts_is_rejected(self, n_starts):
+        with pytest.raises(ValueError, match="n_starts must be >= 1"):
+            multistart_sparse(builtin("ex5_1"), n_starts=n_starts)
 
     def test_success_rate_counts_converged_runs(self):
         result = multistart_sparse(builtin("ex5_1"), n_starts=5, seed=42)
