@@ -27,6 +27,7 @@ with zbar = (eps0, 0, 0, 0) and beta(z) = gamma ||H(z)|| min(1, ||H(z)||).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,11 @@ class QP:
     @property
     def n(self):
         return self.c.shape[0]
+
+    @cached_property
+    def absent(self):
+        """Mask of the all-zero rows of Aeq: absent equality constraints."""
+        return ~np.any(self.Aeq, axis=1)
 
 
 @dataclass(frozen=True)
@@ -114,10 +120,9 @@ def kkt_residual(qp, z):
     affecting d or lam.
     """
     eps, d, mu, lam = _split(z, qp.n)
-    absent = ~np.any(qp.Aeq, axis=1)
     eq = qp.h + d @ qp.Aeq.T
-    if absent.any():
-        eq = eq + np.where(absent, mu, 0.0)
+    if qp.absent.any():
+        eq = eq + np.where(qp.absent, mu, 0.0)
     return np.concatenate([
         eps,
         d @ qp.B.T - mu @ qp.Aeq - lam + qp.c,
@@ -133,17 +138,14 @@ def kkt_jacobian(qp, z):
     r_i = sqrt(lam_i^2 + t_i^2 + 2 eps^2), v_i = -2 eps / r_i,
     D2 = diag(1 - t_i/r_i), D1 = diag(1 - lam_i/r_i); at r_i = 0 (the kink
     eps = lam_i = t_i = 0) the convention D1 = D2 = I, v_i = 0 is used.
+    An absent equality row i carries a 1 at column mu_i, as in kkt_residual.
     """
+    return _fill_jacobian(_jacobian_frame(qp), qp, z)
+
+
+def _jacobian_frame(qp):
+    """H'(z) with the entries that depend on z (v, D2, D1) left at zero."""
     n = qp.n
-    eps, d, mu, lam = _split(z, n)
-    t = qp.g + d
-    r = np.sqrt(lam * lam + t * t + 2.0 * eps * eps)
-    kink = r == 0.0
-    nkink = int(np.count_nonzero(kink))
-    safe = np.where(kink, 1.0, r)
-    v = np.where(kink, 0.0, -2.0 * eps / safe)
-    b_coef = np.where(kink, 1.0, 1.0 - t / safe)
-    a_coef = np.where(kink, 1.0, 1.0 - lam / safe)
     size = 1 + 3 * n
     jac = np.zeros((size, size))
     jac[0, 0] = 1.0
@@ -153,12 +155,28 @@ def kkt_jacobian(qp, z):
     jac[rows, 2 * n + 1:] = -np.eye(n)
     rows = slice(n + 1, 2 * n + 1)
     jac[rows, 1:n + 1] = qp.Aeq
-    absent = ~np.any(qp.Aeq, axis=1)
-    jac[rows, n + 1:2 * n + 1] = np.diag(absent.astype(float))
-    rows = slice(2 * n + 1, size)
-    jac[rows, 0] = v
-    jac[rows, 1:n + 1] = np.diag(b_coef)
-    jac[rows, 2 * n + 1:] = np.diag(a_coef)
+    jac[rows, n + 1:2 * n + 1] = np.diag(qp.absent.astype(float))
+    return jac
+
+
+def _fill_jacobian(jac, qp, z):
+    """Write v, D2 and D1 at z into a frame from `_jacobian_frame`, in place.
+
+    Returns the frame and the number of kink rows.  Every entry written is
+    overwritten by the next call, so one frame serves a whole solve.
+    """
+    n = qp.n
+    eps, d, mu, lam = _split(z, n)
+    t = qp.g + d
+    r = np.sqrt(lam * lam + t * t + 2.0 * eps * eps)
+    kink = r == 0.0
+    nkink = int(np.count_nonzero(kink))
+    safe = np.where(kink, 1.0, r)
+    k = np.arange(n)
+    rows = 2 * n + 1 + k
+    jac[rows, 0] = np.where(kink, 0.0, -2.0 * eps / safe)
+    jac[rows, 1 + k] = np.where(kink, 1.0, 1.0 - t / safe)
+    jac[rows, rows] = np.where(kink, 1.0, 1.0 - lam / safe)
     return jac, nkink
 
 
@@ -222,6 +240,7 @@ def solve_qp(qp, start=None, config=None):
     decrease = cfg.sigma * (1.0 - gamma * cfg.eps0)
     alphas = cfg.rho ** np.arange(1, cfg.max_backtracks + 1)
     history = []
+    frame = _jacobian_frame(inner)
     for iterations in range(1, cfg.max_iter + 1):
         if h_norm <= stop:
             status = CONVERGED
@@ -230,7 +249,7 @@ def solve_qp(qp, start=None, config=None):
         history.append(h_norm)
         if len(history) > 12 and h_norm > 0.9 * history[-13]:
             break  # crawling residual: an infeasible or degenerate subproblem
-        jac, nkink = kkt_jacobian(inner, z)
+        jac, nkink = _fill_jacobian(frame, inner, z)
         kinks += nkink
         rhs = perturbation(h_norm, gamma) * zbar - h_val
         try:

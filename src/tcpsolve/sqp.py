@@ -337,10 +337,11 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         y = -(jac_new - jac).T @ mu
         b = damped_bfgs(b, alpha * d, y)
         if cfg.keep_trace:
+            h_new = constraint_value(problem, x_new)
             trace.append(IterationRecord(
                 iteration=k, step_norm=step_norm, alpha=alpha, sigma=sigma,
-                merit=merit(x_new, constraint_value(problem, x_new), sigma),
-                infeasibility=infeasibility(x_new, constraint_value(problem, x_new)),
+                merit=merit(x_new, h_new, sigma),
+                infeasibility=infeasibility(x_new, h_new),
                 qp_iterations=qp_res.iterations))
         x = x_new
 
@@ -400,7 +401,9 @@ def multistart_sparse(problem, n_starts=20, seed=42, config=None):
     Starts are drawn from independent child streams of the seed, so reports
     are reproducible and independent of execution order.  A run counts as a
     success when it reaches the KKT test and its complementarity violation
-    is within the infeasibility tolerance.
+    is within the infeasibility tolerance.  Among the successes of least l0,
+    objectives within eps2 of the lowest count as equal, and the smallest
+    complementarity violation, then the earliest start, wins.
     """
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
@@ -430,7 +433,12 @@ def multistart_sparse(problem, n_starts=20, seed=42, config=None):
     successes = [r for r in reports
                  if r.status == KKT and r.tcp_residual <= cfg.eps2]
     if successes:
-        best = min(successes, key=lambda r: (r.l0, r.objective, r.iterations))
+        # rounding noise in the last digits must not pick the winner
+        least = min(r.l0 for r in successes)
+        sparsest = [r for r in successes if r.l0 == least]
+        lowest = min(r.objective for r in sparsest)
+        best = min((r for r in sparsest if r.objective <= lowest + cfg.eps2),
+                   key=lambda r: r.tcp_residual)
     else:
         best = min(reports, key=lambda r: r.tcp_residual)
         notes.append(f"no start converged within tolerance; best residual "

@@ -7,6 +7,11 @@ polynomial map
 
 which is the object every other module here is built on: the complementarity
 problem asks for x >= 0 with F(x) - q >= 0 and x'(F(x) - q) = 0.
+
+Its Jacobian comes from the product rule on the stored entries: each entry
+and tail slot is one term, and the term list (flat positions, the other
+tail indices, the values) is built on the first `jacobian` call and cached
+on the tensor, so no call expands the tensor over tail permutations.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ class Tensor:
     Entries map 0-based index tuples of length m to finite nonzero floats.
     Zero values are dropped, duplicate tuples rejected, indices range-checked.
     """
+
+    _jac_terms = None   # Jacobian term list, built by the first jacobian call
 
     def __init__(self, order, dim, entries):
         if order < 2:
@@ -136,23 +143,6 @@ class Tensor:
             w *= x[self._idx[:, c]]
         return np.bincount(self._idx[:, 0], weights=w, minlength=self.dim)
 
-    def contract_matrix(self, x):
-        """A x^{m-2} as an n x n matrix; for order 2 this is A itself.
-
-        M[i, j] = sum_{i3..im} a[i, j, i3, .., im] * x_{i3} * .. * x_{im}
-        """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"vector of length {self.dim} expected, got shape {x.shape}")
-        out = np.zeros((self.dim, self.dim))
-        if self.nnz == 0:
-            return out
-        w = self._val.copy()
-        for c in range(2, self.order):
-            w *= x[self._idx[:, c]]
-        np.add.at(out, (self._idx[:, 0], self._idx[:, 1]), w)
-        return out
-
     def symmetrized(self):
         """Partial symmetrization over the last m-1 index slots (cached).
 
@@ -180,8 +170,30 @@ class Tensor:
         return self._sym
 
     def jacobian(self, x):
-        """Derivative of x -> A x^{m-1}: the matrix (m-1) * bar_A x^{m-2}."""
-        return (self.order - 1) * self.symmetrized().contract_matrix(x)
+        """Derivative of x -> A x^{m-1}, by the product rule on stored entries.
+
+        Entry a[i, j2, .., jm] and tail slot c contribute
+        a[i, j2, .., jm] * prod_{c' != c} x_{jc'} to J[i, jc].  The m-1 terms
+        of every entry are listed once per tensor, on the first call: flat
+        positions i*n + jc, the other m-2 tail indices, and the values; each
+        call then does m-2 gather-multiplies and one bincount.  For order 2
+        this is A itself.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"vector of length {self.dim} expected, got shape {x.shape}")
+        if self._jac_terms is None:
+            tail = self._idx[:, 1:]
+            slots = range(self.order - 1)
+            flat = np.concatenate([self._idx[:, 0] * self.dim + tail[:, c] for c in slots])
+            others = np.concatenate([np.delete(tail, c, axis=1) for c in slots]).T.copy()
+            self._jac_terms = flat, others, np.tile(self._val, self.order - 1)
+        flat, others, val = self._jac_terms
+        w = val.copy()
+        for cols in others:
+            w *= x[cols]
+        return np.bincount(flat, weights=w, minlength=self.dim * self.dim).reshape(
+            self.dim, self.dim)
 
     # -- structure queries used by the classifier ---------------------------
 

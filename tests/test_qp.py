@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from tcpsolve import QP, SmoothingNewtonConfig, solve_qp
-from tcpsolve.qp import (chks, default_start, kkt_jacobian, kkt_residual,
-                         perturbation)
+from tcpsolve.qp import (_fill_jacobian, _jacobian_frame, chks, default_start,
+                         kkt_jacobian, kkt_residual, perturbation)
 
 
 def random_feasible_qp(rng, n):
@@ -222,6 +222,29 @@ class TestJacobian:
             e[j] = step
             fd[:, j] = (kkt_residual(qp, z + e) - kkt_residual(qp, z - e)) / (2 * step)
         np.testing.assert_allclose(jac, fd, atol=1e-6)
+
+    def test_repeated_calls_return_the_same_matrix(self):
+        # the constant blocks are assembled once and the z-dependent entries
+        # written over them: no call may change a matrix handed out before,
+        # and a frame refilled at z must equal a fresh H'(z), kink or not
+        rng = np.random.default_rng(35)
+        qp = random_feasible_qp(rng, 3)
+        qp = QP(B=qp.B, c=qp.c, Aeq=np.vstack([qp.Aeq[:2], np.zeros(3)]), h=qp.h, g=qp.g)
+        z1 = rng.standard_normal(10)
+        z1[0] = 0.5
+        z2 = rng.standard_normal(10)
+        z2[0] = 0.0
+        z2[1] = -qp.g[0]   # t_0 = 0
+        z2[7] = 0.0        # lam_0 = 0: row 0 sits on the kink
+        jac1, _ = kkt_jacobian(qp, z1)
+        first = jac1.copy()
+        jac2, nkink = kkt_jacobian(qp, z2)
+        assert nkink == 1
+        np.testing.assert_array_equal(jac1, first)
+        np.testing.assert_array_equal(kkt_jacobian(qp, z1)[0], first)
+        frame = _jacobian_frame(qp)
+        for z, fresh in ((z1, first), (z2, jac2), (z1, first)):
+            np.testing.assert_array_equal(_fill_jacobian(frame, qp, z)[0], fresh)
 
 
 class TestSolveQP:

@@ -1,8 +1,9 @@
 """Tensor contractions, symmetrization, Jacobians, and the spectral radius.
 
 Oracles are deliberately naive: dense nested-loop summation for the
-polynomial map, itertools.permutations for symmetrization, and central
-finite differences for derivatives.
+polynomial map, itertools.permutations for symmetrization, and for the
+Jacobian the dense product rule, (m-1) times the contracted partial
+symmetrization, and central finite differences.
 """
 
 import itertools
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from tcpsolve import Tensor, spectral_radius
+from tcpsolve import Tensor, builtin, classify, multistart_sparse, spectral_radius
 from tcpsolve.tensors import identity, newton_on_support
 
 
@@ -39,6 +40,21 @@ def dense_contract_matrix(array, x):
             term *= x[j]
         out[idx[0], idx[1]] += term
     return out
+
+
+def dense_product_rule(array, x):
+    """Jacobian of x -> A x^{m-1}: one dense_contract_matrix per tail slot,
+    with that slot moved next to the row index."""
+    return sum(dense_contract_matrix(np.moveaxis(array, c, 1), x)
+               for c in range(1, array.ndim))
+
+
+def symmetrized_jacobian(tensor, x):
+    """(m-1) * bar_A x^{m-2}, contracted entry by entry from symmetrized()."""
+    out = np.zeros((tensor.dim, tensor.dim))
+    for idx, v in tensor.symmetrized().items():
+        out[idx[0], idx[1]] += v * math.prod(x[j] for j in idx[2:])
+    return (tensor.order - 1) * out
 
 
 def dense_symmetrize(array):
@@ -164,38 +180,6 @@ class TestContract:
         np.testing.assert_array_equal(t.contract(np.ones(3)), np.zeros(3))
 
 
-class TestContractMatrix:
-
-    def test_identity_tensor(self):
-        t = identity(3, 2)
-        np.testing.assert_allclose(t.contract_matrix(np.array([2.0, 3.0])),
-                                   np.diag([2.0, 3.0]))
-
-    def test_matches_dense_loop_oracle(self):
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            order = int(rng.integers(2, 5))
-            dim = int(rng.integers(1, 5))
-            t, dense = random_tensor(rng, order, dim)
-            x = rng.standard_normal(dim)
-            np.testing.assert_allclose(t.contract_matrix(x),
-                                       dense_contract_matrix(dense, x),
-                                       rtol=1e-12, atol=1e-12)
-
-    def test_order_two_returns_matrix_itself(self):
-        rng = np.random.default_rng(10)
-        dense = rng.standard_normal((3, 3))
-        t = Tensor.from_dense(dense)
-        np.testing.assert_array_equal(t.contract_matrix(rng.standard_normal(3)), dense)
-
-    def test_zero_x_gives_zero_matrix(self):
-        rng = np.random.default_rng(11)
-        for order in (3, 4, 5):
-            t, _ = random_tensor(rng, order, 3)
-            np.testing.assert_array_equal(t.contract_matrix(np.zeros(3)),
-                                          np.zeros((3, 3)))
-
-
 class TestSymmetrized:
 
     def test_already_symmetric_unchanged(self):
@@ -258,6 +242,57 @@ class TestJacobian:
                           (1, 0, 0, 1): -0.5})
         np.testing.assert_allclose(t.jacobian(np.array([1.0, 1.0])),
                                    [[3.0, 0.0], [-1.0, 2.5]], atol=1e-12)
+
+    def test_matches_dense_product_rule(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            order = int(rng.integers(2, 6))
+            dim = int(rng.integers(1, 5))
+            t, dense = random_tensor(rng, order, dim)
+            x = rng.standard_normal(dim)
+            x[rng.random(dim) < 0.3] = 0.0
+            np.testing.assert_allclose(t.jacobian(x), dense_product_rule(dense, x),
+                                       rtol=1e-12, atol=1e-12)
+
+    def test_order_two_returns_matrix_itself(self):
+        rng = np.random.default_rng(10)
+        dense = rng.standard_normal((3, 3))
+        t = Tensor.from_dense(dense)
+        np.testing.assert_array_equal(t.jacobian(rng.standard_normal(3)), dense)
+
+    def test_zero_x_gives_zero_matrix(self):
+        rng = np.random.default_rng(11)
+        for order in (3, 4, 5):
+            t, _ = random_tensor(rng, order, 3)
+            np.testing.assert_array_equal(t.jacobian(np.zeros(3)), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_empty_tensor(self, order):
+        t = Tensor(order, 3, {})
+        np.testing.assert_array_equal(t.jacobian(np.ones(3)), np.zeros((3, 3)))
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            identity(3, 2).jacobian(np.ones(3))
+
+    def test_ex5_5_matches_symmetrization(self):
+        t = builtin("ex5_5").tensor
+        rng = np.random.default_rng(17)
+        for x in (rng.uniform(0.0, 2.0, t.dim), np.where(np.arange(t.dim) % 3, 1.5, 0.0)):
+            np.testing.assert_allclose(t.jacobian(x), symmetrized_jacobian(t, x),
+                                       rtol=1e-12, atol=0.0)
+
+    def test_jacobian_never_symmetrizes(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("symmetrized() called")
+        monkeypatch.setattr(Tensor, "symmetrized", refuse)
+        assert multistart_sparse(builtin("ex5_5"), n_starts=1).success_rate == 1.0
+        t = builtin("ex5_5").tensor
+        for check in (classify.is_nonnegative, classify.is_z_tensor,
+                      classify.is_nonsingular_m_tensor, classify.is_p_tensor,
+                      classify.is_ks_tensor, classify.satisfies_condition2,
+                      classify.z_function_check):
+            check(t)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(15)
