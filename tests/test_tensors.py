@@ -227,6 +227,19 @@ class TestSymmetrized:
         assert t.symmetrized() is t.symmetrized()
 
 
+class TestContractMatrix:
+    """A x^{m-2}, the contraction both Jacobian oracles are built on."""
+
+    def test_identity_tensor(self):
+        # identity: A x^{m-2} = diag(x^{m-2}), and the Jacobian is (m-1) times it
+        x = np.array([2.0, 3.0])
+        for order in (3, 4, 5):
+            t = identity(order, 2)
+            expected = np.diag(x ** (order - 2))
+            np.testing.assert_allclose(dense_contract_matrix(t.to_dense(), x), expected)
+            np.testing.assert_allclose(t.jacobian(x), (order - 1) * expected)
+
+
 class TestJacobian:
 
     def test_identity_tensor(self):
