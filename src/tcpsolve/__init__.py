@@ -10,7 +10,7 @@ from .classify import (Verdict, Certificate, KSDecomposition, is_nonnegative,
                        is_z_tensor, is_nonsingular_m_tensor, is_p_tensor,
                        is_ks_tensor, ks_split, satisfies_condition2,
                        z_function_check)
-from .qp import QP, QPResult, SmoothingNewtonConfig, solve_qp
+from .qp import QP, QPResult, solve_qp
 from .sqp import (SQPConfig, SolveReport, MultistartResult, Verification,
                   sqp_solve, multistart_sparse, verify_solution, SPARSITY_TOL)
 from .problems import (TCPProblem, FormatError, parse_problem, parse_tensor,
@@ -24,7 +24,7 @@ __all__ = [
     "Verdict", "Certificate", "KSDecomposition", "is_nonnegative",
     "is_z_tensor", "is_nonsingular_m_tensor", "is_p_tensor", "is_ks_tensor",
     "ks_split", "satisfies_condition2", "z_function_check",
-    "QP", "QPResult", "SmoothingNewtonConfig", "solve_qp",
+    "QP", "QPResult", "solve_qp",
     "SQPConfig", "SolveReport", "MultistartResult", "Verification",
     "sqp_solve", "multistart_sparse", "verify_solution", "SPARSITY_TOL",
     "TCPProblem", "FormatError", "parse_problem", "parse_tensor",

@@ -72,15 +72,6 @@ class KSDecomposition:
     entries, N the positive off-diagonal ones (so N >= 0 with zero diagonal)."""
     W: Tensor
     N: Tensor
-    condition2: Certificate
-
-    @property
-    def condition2_holds(self):
-        if self.condition2.verdict is Verdict.CERTIFIED_TRUE:
-            return True
-        if self.condition2.verdict is Verdict.CERTIFIED_FALSE:
-            return False
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +108,7 @@ def ks_split(tensor):
         else:
             nn[idx] = v
     return KSDecomposition(W=Tensor(tensor.order, tensor.dim, w),
-                           N=Tensor(tensor.order, tensor.dim, nn),
-                           condition2=satisfies_condition2(tensor))
+                           N=Tensor(tensor.order, tensor.dim, nn))
 
 
 def satisfies_condition2(tensor):

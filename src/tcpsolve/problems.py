@@ -1,4 +1,5 @@
-"""Problem instances, the `tcp v1` text format, built-ins, and generation.
+"""Problem instances, the `tcp v1` text format, built-ins, and generation
+of random certified KS instances, one draw per seed.
 
 A complementarity instance is a pair (A, q): find x >= 0 with
 A x^{m-1} - q >= 0 and x'(A x^{m-1} - q) = 0.  The text format is line
@@ -294,7 +295,17 @@ def _off_diagonal_tuples(order, dim, count, rng):
     return sorted(seen)
 
 
-def _generate_once(order, dim, density, rng):
+def generate_ks_instance(order, dim, density=0.3, seed=0):
+    """Random diagonally dominant Z-tensor instance, certified KS.
+
+    Off-diagonal entries are negative with the requested fill and each
+    diagonal entry is 1 plus its row's off-diagonal mass, so A e is about 1
+    and x = e witnesses the M-property of W = A.  Every insertion sum adds
+    off-diagonal entries only, so the insertion-sum condition holds too.
+    Certificates are recomputed and attached; a draw that fails them raises
+    RuntimeError.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)))
     n_off = dim ** order - dim
     count = max(1, int(round(density * n_off)))
     entries = {}
@@ -307,29 +318,11 @@ def _generate_once(order, dim, density, rng):
         entries[(i,) * order] = 1.0 + row_mass[i]
     tensor = Tensor(order, dim, entries)
     q = rng.uniform(0.0, 1.0, dim)
-    return tensor, q
-
-
-def generate_ks_instance(order, dim, density=0.3, seed=0):
-    """Random diagonally dominant Z-tensor instance, certified KS.
-
-    Off-diagonal entries are negative with the requested fill, the diagonal
-    dominates its row (so x = e witnesses the M-property of W = A), and the
-    insertion-sum condition holds vacuously for Z-tensors.  Certificates are
-    recomputed and attached; on the (never yet observed) chance a draw fails
-    certification the generator retries up to 10 seeds, then halves density.
-    """
-    attempt_density = density
-    for round_no in range(2):
-        for k in range(10):
-            rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(round_no, k)))
-            tensor, q = _generate_once(order, dim, attempt_density, rng)
-            ks = classify.is_ks_tensor(tensor)
-            cond2 = classify.satisfies_condition2(tensor)
-            if ks.positive and cond2.verdict is classify.Verdict.CERTIFIED_TRUE:
-                name = f"gen-m{order}-n{dim}-d{density}-s{seed}"
-                return TCPProblem(tensor, q, name=name,
-                                  tags={"ks": ks, "condition2": cond2})
-        attempt_density = attempt_density / 2.0
-    raise RuntimeError(
-        f"could not generate a certified KS instance for order={order} dim={dim}")
+    ks = classify.is_ks_tensor(tensor)
+    cond2 = classify.satisfies_condition2(tensor)
+    if not (ks.positive and cond2.verdict is classify.Verdict.CERTIFIED_TRUE):
+        raise RuntimeError(
+            f"generated instance for order={order} dim={dim} seed={seed} failed "
+            f"certification (ks={ks.verdict}, insertion sums={cond2.verdict})")
+    return TCPProblem(tensor, q, name=f"gen-m{order}-n{dim}-d{density}-s{seed}",
+                      tags={"ks": ks, "condition2": cond2})

@@ -31,12 +31,29 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["QP", "QPResult", "SmoothingNewtonConfig", "chks",
-           "kkt_residual", "kkt_jacobian", "perturbation", "solve_qp"]
+__all__ = ["QP", "QPResult", "chks", "kkt_residual", "kkt_jacobian",
+           "perturbation", "solve_qp"]
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
 SINGULAR = "singular_jacobian"
+
+# Line-search smoothing Newton parameters.  SIGMA is the sufficient-decrease
+# fraction of the norm reduction test; it must be small (classic choice
+# 1e-4): the test demands the residual shrink by a factor
+# (1 - SIGMA*(1 - gamma*EPS0)*alpha) per step, and values near 1 reject
+# steps that any damped Newton method must take on badly scaled subproblems.
+# Steps are backtracked by RHO at most MAX_BACKTRACKS times; GAMMA is the
+# largest perturbation weight and EPS0 the starting smoothing parameter.
+RHO = 0.5
+SIGMA = 1e-4
+GAMMA = 0.2
+EPS0 = 1.0
+TOL = 1e-10
+MAX_NEWTON_STEPS = 200
+MAX_BACKTRACKS = 60
+# equality rows with max-norm and residual at or below this are dropped
+DROP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,27 +83,6 @@ class QP:
 
 
 @dataclass(frozen=True)
-class SmoothingNewtonConfig:
-    """Line-search smoothing Newton parameters.
-
-    sigma is the sufficient-decrease fraction of the norm reduction test;
-    it must be small (classic choice 1e-4): the test demands the residual
-    shrink by a factor (1 - sigma*(1 - gamma*eps0)*alpha) per step, and
-    values near 1 reject steps that any damped Newton method must take on
-    badly scaled subproblems.
-    """
-
-    rho: float = 0.5
-    sigma: float = 1e-4
-    gamma: float = 0.2
-    eps0: float = 1.0
-    tol: float = 1e-10
-    max_iter: int = 200
-    max_backtracks: int = 60
-    drop_tol: float = 1e-8
-
-
-@dataclass(frozen=True)
 class QPResult:
     d: np.ndarray
     mu: np.ndarray
@@ -94,7 +90,6 @@ class QPResult:
     status: str
     iterations: int
     residual: float
-    kinks: int = 0
 
     @property
     def converged(self):
@@ -185,17 +180,17 @@ def perturbation(h_norm, gamma):
     return gamma * h_norm * min(1.0, h_norm)
 
 
-def default_start(qp, eps0=1.0):
+def default_start(qp):
     """d = 0, mu = 0, lam = e: strictly positive lam keeps clear of kinks."""
     n = qp.n
     z = np.zeros(1 + 3 * n)
-    z[0] = eps0
+    z[0] = EPS0
     z[2 * n + 1:] = 1.0
     return z
 
 
-def solve_qp(qp, start=None, config=None):
-    """Drive ||H(z)|| below tol * max(1, ||z||_inf) by damped Newton steps.
+def solve_qp(qp, start=None):
+    """Drive ||H(z)|| below TOL * max(1, ||H(z0)||) by damped Newton steps.
 
     Equality rows are equilibrated to unit max-norm before iterating: the
     SQP outer loop hands in constraint gradients that collapse like
@@ -206,42 +201,40 @@ def solve_qp(qp, start=None, config=None):
     degenerate cases solvable; for well-scaled data it coincides with the
     absolute test.
     """
-    cfg = config or SmoothingNewtonConfig()
     n = qp.n
     row_norm = np.max(np.abs(qp.Aeq), axis=1)
     # rows the linearization cannot see are dropped rather than equilibrated:
     # amplifying a ~0 row whose residual is also ~0 manufactures a hard
     # constraint out of nothing and blocks the bound multipliers from
     # closing out coordinates the objective wants at zero
-    vacuous = (row_norm <= cfg.drop_tol) & (np.abs(qp.h) <= cfg.drop_tol)
+    vacuous = (row_norm <= DROP_TOL) & (np.abs(qp.h) <= DROP_TOL)
     aeq = np.where(vacuous[:, None], 0.0, qp.Aeq)
     h = np.where(vacuous, 0.0, qp.h)
     scale = np.where(vacuous | (row_norm <= 1e-12), 1.0, row_norm)
     inner = QP(B=qp.B, c=qp.c, Aeq=aeq / scale[:, None], h=h / scale,
                g=qp.g)
     if start is None:
-        z = default_start(inner, cfg.eps0)
+        z = default_start(inner)
     else:
         z = np.asarray(start, dtype=float).copy()
         z[n + 1:2 * n + 1] *= scale
     zbar = np.zeros(1 + 3 * n)
-    zbar[0] = cfg.eps0
+    zbar[0] = EPS0
     h_val = kkt_residual(inner, z)
     h_norm = float(np.linalg.norm(h_val))
     # residual target relative to the starting residual, never to the iterate:
     # an infeasible subproblem drives multipliers to infinity while ||H||
     # plateaus, which an iterate-scaled test would misread as convergence
-    stop = cfg.tol * max(1.0, h_norm)
+    stop = TOL * max(1.0, h_norm)
     # enforce gamma*eps0 < 1 and gamma*||H(z0)|| < 1 by shrinking gamma
-    gamma = min(cfg.gamma, 0.9 / max(cfg.eps0, h_norm, 1e-16))
-    kinks = 0
+    gamma = min(GAMMA, 0.9 / max(EPS0, h_norm, 1e-16))
     status = MAX_ITER
     iterations = 0
-    decrease = cfg.sigma * (1.0 - gamma * cfg.eps0)
-    alphas = cfg.rho ** np.arange(1, cfg.max_backtracks + 1)
+    decrease = SIGMA * (1.0 - gamma * EPS0)
+    alphas = RHO ** np.arange(1, MAX_BACKTRACKS + 1)
     history = []
     frame = _jacobian_frame(inner)
-    for iterations in range(1, cfg.max_iter + 1):
+    for iterations in range(1, MAX_NEWTON_STEPS + 1):
         if h_norm <= stop:
             status = CONVERGED
             iterations -= 1
@@ -249,8 +242,7 @@ def solve_qp(qp, start=None, config=None):
         history.append(h_norm)
         if len(history) > 12 and h_norm > 0.9 * history[-13]:
             break  # crawling residual: an infeasible or degenerate subproblem
-        jac, nkink = _fill_jacobian(frame, inner, z)
-        kinks += nkink
+        jac, _ = _fill_jacobian(frame, inner, z)
         rhs = perturbation(h_norm, gamma) * zbar - h_val
         try:
             dz = np.linalg.solve(jac, rhs)
@@ -285,4 +277,4 @@ def solve_qp(qp, start=None, config=None):
         status = CONVERGED
     _eps, d, mu, lam = _split(z, n)
     return QPResult(d=d, mu=mu / scale, lam=lam, status=status,
-                    iterations=iterations, residual=h_norm, kinks=kinks)
+                    iterations=iterations, residual=h_norm)

@@ -9,7 +9,7 @@ the equality constraint, solves the quadratic subproblem with the smoothing
 Newton method from `qp`, and globalizes with one Armijo backtracking line
 search on the l1 exact penalty merit.  Lagrangian curvature is tracked by
 damped BFGS updates, so only constraint values and Jacobians of the tensor
-map are ever needed.  A search that finds no merit decrease ends the run;
+map are ever needed, each evaluated once per accepted point.  A search that finds no merit decrease ends the run;
 like every other stop, it is followed by Newton solves on candidate
 supports of the final iterate.
 
@@ -20,12 +20,12 @@ returns the sparsest verified solution, which is the intended entry point.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import classify
-from .qp import QP, SmoothingNewtonConfig, solve_qp
+from .qp import EPS0, QP, solve_qp
 from .tensors import newton_on_support
 
 __all__ = ["SQPConfig", "SolveReport", "IterationRecord", "Verification",
@@ -40,30 +40,32 @@ MAX_ITER = "max_iter"
 QP_FAIL = "qp_fail"
 LINESEARCH_FAIL = "linesearch_fail"
 
+# DELTA is the safety margin of the penalty update and SIGMA0 the initial
+# penalty weight (the merit function uses 1/sigma).  Steps are backtracked
+# by RHO until the Armijo condition with slope fraction ETA holds, the slope
+# capped at -1e-12 so that a flat one still demands a decrease; after
+# MAX_BACKTRACKS halvings without one the run ends as `linesearch_fail`.
+ETA = 0.1
+RHO = 0.5
+DELTA = 1.0
+SIGMA0 = 0.8
+MAX_BACKTRACKS = 50
+
 
 @dataclass(frozen=True)
 class SQPConfig:
-    """Tuning knobs for `sqp_solve` and `multistart_sparse`.
+    """Settings of `sqp_solve` and `multistart_sparse`.
 
     eps1 bounds the QP step 1-norm and eps2 the primal infeasibility at
     termination; eps2 is also the tolerance at which a point from the
-    support solve must pass `verify_solution` on both systems.  delta is the
-    safety margin of the penalty update; sigma0 the initial penalty weight
-    (the merit function uses 1/sigma).  Steps are backtracked by rho until
-    the Armijo condition with slope fraction eta holds, the slope capped at
-    -1e-12 so that a flat one still demands a decrease; after max_backtracks
-    halvings without one the run ends as `linesearch_fail`.
+    support solve must pass `verify_solution` on both systems.  max_iter
+    caps the outer iterations; keep_trace records one `IterationRecord`
+    per accepted step.
     """
 
-    eta: float = 0.1
-    rho: float = 0.5
     eps1: float = 1e-6
     eps2: float = 1e-5
-    delta: float = 1.0
-    sigma0: float = 0.8
     max_iter: int = 500
-    max_backtracks: int = 50
-    qp: SmoothingNewtonConfig = field(default_factory=SmoothingNewtonConfig)
     keep_trace: bool = False
 
 
@@ -131,10 +133,6 @@ class MultistartResult:
 
 def constraint_value(problem, x):
     return problem.tensor.contract(x) - problem.q
-
-
-def constraint_jacobian(problem, x):
-    return problem.tensor.jacobian(x)
 
 
 def infeasibility(x, h):
@@ -270,7 +268,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             raise ValueError(f"{name} must be finite")
     start_point = x.copy()
     b = np.eye(n)
-    sigma = cfg.sigma0
+    sigma = SIGMA0
     ones = np.ones(n)
     notes = []
     trace = []
@@ -278,13 +276,15 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
     iterations = 0
     step_norm = np.inf
     inexact_qps = 0
+    # h and jac always belong to the current x: each accepted step carries
+    # the values its line search and BFGS update computed
+    h = constraint_value(problem, x)
+    jac = problem.tensor.jacobian(x)
 
     for k in range(cfg.max_iter):
-        h = constraint_value(problem, x)
-        jac = constraint_jacobian(problem, x)
         sub = QP(B=b, c=ones, Aeq=jac, h=h, g=x)
-        z0 = np.concatenate([[cfg.qp.eps0], np.zeros(n), mu, lam])
-        qp_res = solve_qp(sub, start=z0, config=cfg.qp)
+        z0 = np.concatenate([[EPS0], np.zeros(n), mu, lam])
+        qp_res = solve_qp(sub, start=z0)
         iterations = k + 1
         d = qp_res.d
         if not qp_res.converged:
@@ -310,40 +310,38 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             status = KKT
             break
 
-        sigma = update_penalty(sigma, mu, lam, cfg.delta)
+        sigma = update_penalty(sigma, mu, lam, DELTA)
         # a flat or uphill slope estimate (roundoff at stationarity, or
         # multipliers blown up by degenerate rows) still demands a plain
         # decrease; when none is found the support solve takes over
         slope = min(float(np.sum(d)) - infeas / sigma, -1e-12)
         phi0 = merit(x, h, sigma)
         alpha = 1.0
-        for _ in range(cfg.max_backtracks + 1):
-            x_trial = x + alpha * d
+        for _ in range(MAX_BACKTRACKS + 1):
+            x_new = x + alpha * d
             # a step lost to rounding passes the test without moving x
-            if not np.array_equal(x_trial, x) and merit(
-                    x_trial, constraint_value(problem, x_trial), sigma) \
-                    <= phi0 + cfg.eta * alpha * slope:
-                break
-            alpha *= cfg.rho
+            if not np.array_equal(x_new, x):
+                h_new = constraint_value(problem, x_new)
+                if merit(x_new, h_new, sigma) <= phi0 + ETA * alpha * slope:
+                    break
+            alpha *= RHO
         else:
             status = LINESEARCH_FAIL
             notes.append(f"iteration {k}: no merit decrease within "
-                         f"{cfg.max_backtracks} backtracks")
+                         f"{MAX_BACKTRACKS} backtracks")
             break
 
-        x_new = x + alpha * d
-        jac_new = constraint_jacobian(problem, x_new)
+        jac_new = problem.tensor.jacobian(x_new)
         mu, lam = least_squares_multipliers(jac_new)
         y = -(jac_new - jac).T @ mu
         b = damped_bfgs(b, alpha * d, y)
         if cfg.keep_trace:
-            h_new = constraint_value(problem, x_new)
             trace.append(IterationRecord(
                 iteration=k, step_norm=step_norm, alpha=alpha, sigma=sigma,
                 merit=merit(x_new, h_new, sigma),
                 infeasibility=infeasibility(x_new, h_new),
                 qp_iterations=qp_res.iterations))
-        x = x_new
+        x, h, jac = x_new, h_new, jac_new
 
     if inexact_qps > 1:
         notes.append(f"{inexact_qps} of {iterations} QP subproblems solved "
@@ -355,10 +353,11 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             notes.append(f"{status} run completed by a Newton solve on "
                          "a candidate support")
         x, status = found, KKT
+        h = constraint_value(problem, x)
+        jac = problem.tensor.jacobian(x)
     if status == KKT:
-        mu, lam = least_squares_multipliers(constraint_jacobian(problem, x))
+        mu, lam = least_squares_multipliers(jac)
 
-    h = constraint_value(problem, x)
     return SolveReport(
         x=x,
         mu=mu,
@@ -413,7 +412,7 @@ def multistart_sparse(problem, n_starts=20, seed=42, config=None):
 
     if not np.any(problem.q):
         # A 0^(m-1) = 0 = q: the zero vector is the exact sparsest solution
-        mu, lam = least_squares_multipliers(constraint_jacobian(problem, np.zeros(n)))
+        mu, lam = least_squares_multipliers(problem.tensor.jacobian(np.zeros(n)))
         report = SolveReport(
             x=np.zeros(n), mu=mu, lam=lam, status=KKT, iterations=0,
             step_norm=0.0, feasibility=0.0, equation_residual=0.0,

@@ -5,12 +5,15 @@ Format tests pin exact 1-based line numbers on every rejection path, and
 round-trip canonical text both ways (parse after serialize and serialize
 after parse)."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcpsolve import (BUILTIN_NAMES, FormatError, TCPProblem, Tensor, builtin,
-                      generate_ks_instance, parse_problem, parse_tensor,
-                      serialize_problem, serialize_tensor)
+                      classify, generate_ks_instance, parse_problem,
+                      parse_tensor, serialize_problem, serialize_tensor)
 from tcpsolve.problems import builtin_about, format_value, reference_solution
 
 GOOD = "tcp v1 order=3 dim=2\na 1 1 1 1\na 2 2 2 1\nq 0 1\n"
@@ -351,3 +354,69 @@ class TestGenerator:
     def test_roundtrips_through_format(self):
         problem = generate_ks_instance(3, 3, density=0.3, seed=5)
         assert parse_problem(serialize_problem(problem)) == problem
+
+    @pytest.mark.parametrize("order, dim, density, seed, digest", [
+        # the order-4 dim-8 instance of the classify ladder at seed 101
+        (4, 8, 0.3, 698795904,
+         "2e1961d2a3d820e8cc6f23014d9858dffaa13ed395e82951df12c2dbe105b7bd"),
+        # the first instance of the gen-solve pool
+        (3, 6, 0.197, 1210382689,
+         "94f6ea05f461e1274d3e113f5dd09b2f641076f9cd09bcfdb27e505cc36d004e"),
+        (2, 1, 0.3, 0,
+         "7bfd04434061718fae8daf1e88c67f9bc55de414178e944cd6485f67b9327cd8"),
+    ])
+    def test_instances_are_pinned(self, order, dim, density, seed, digest):
+        # the benchmark's classify and gen-solve inputs come from the
+        # generator, so each seed must keep giving the same text
+        problem = generate_ks_instance(order, dim, density=density, seed=seed)
+        text = serialize_problem(problem)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        refuted = classify.Certificate(classify.Verdict.REFUTED, "stub")
+        monkeypatch.setattr(classify, "is_ks_tensor", lambda tensor: refuted)
+        with pytest.raises(RuntimeError, match="failed certification"):
+            generate_ks_instance(3, 3, density=0.3, seed=5)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tcp_problems(draw):
+    order = draw(st.integers(2, 4))
+    dim = draw(st.integers(1, 3))
+    index = st.tuples(*[st.integers(0, dim - 1)] * order)
+    entries = draw(st.dictionaries(index, finite, max_size=12))
+    q = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+                      min_size=dim, max_size=dim))
+    return TCPProblem(Tensor(order, dim, entries), q)
+
+
+# lines near the grammar, so that generated text reaches the entry and q
+# checks instead of failing at the header
+near_miss_lines = st.one_of(
+    st.text(max_size=20),
+    st.builds(" ".join, st.lists(st.sampled_from(
+        ["tcp", "v1", "order=2", "order=3", "order=1", "dim=2", "dim=0",
+         "dim=x", "a", "q", "1", "2", "3", "0", "-1", "0.5", "-2.5", "1e400",
+         "nan", "inf", "#", "x", "\r"]), max_size=7)))
+near_miss_text = st.builds("\n".join, st.lists(near_miss_lines, max_size=6))
+
+
+class TestFormatProperties:
+
+    @settings(max_examples=200, deadline=None)
+    @given(tcp_problems())
+    def test_parse_inverts_serialize(self, problem):
+        text = serialize_problem(problem)
+        assert parse_problem(text) == problem
+        assert serialize_problem(parse_problem(text)) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(), near_miss_text))
+    def test_text_parses_or_raises_format_error(self, text):
+        try:
+            parse_problem(text)
+        except FormatError:
+            pass

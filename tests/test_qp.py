@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tcpsolve import QP, SmoothingNewtonConfig, solve_qp
+from tcpsolve import QP, solve_qp
 from tcpsolve.qp import (_fill_jacobian, _jacobian_frame, chks, default_start,
                          kkt_jacobian, kkt_residual, perturbation)
 

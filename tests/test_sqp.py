@@ -11,9 +11,9 @@ import pytest
 from tcpsolve import (SPARSITY_TOL, SQPConfig, TCPProblem, Tensor, builtin,
                       generate_ks_instance, multistart_sparse,
                       reference_solution, sqp, sqp_solve, verify_solution)
-from tcpsolve.sqp import (_support_solution, constraint_jacobian,
-                          constraint_value, damped_bfgs, infeasibility,
-                          least_squares_multipliers, merit, update_penalty)
+from tcpsolve.sqp import (_support_solution, constraint_value, damped_bfgs,
+                          infeasibility, least_squares_multipliers, merit,
+                          update_penalty)
 
 
 def multistart_start(problem, k, seed=42):
@@ -44,13 +44,6 @@ class TestConstraintValue:
         problem = builtin("ex3_1")
         h = constraint_value(problem, np.array([1.0, 1.0]))
         np.testing.assert_allclose(h, [0.0, 0.0], atol=1e-15)
-
-    def test_jacobian_matches_tensor_jacobian(self):
-        problem = builtin("ex5_3")
-        rng = np.random.default_rng(3)
-        x = rng.uniform(0.0, 2.0, problem.dim)
-        np.testing.assert_array_equal(constraint_jacobian(problem, x),
-                                      problem.tensor.jacobian(x))
 
 
 class TestMerit:
@@ -276,8 +269,8 @@ class TestSQPSolve:
         # fails at once and the support solve takes over
         real = sqp.solve_qp
 
-        def tiny_step(qp, start=None, config=None):
-            res = real(qp, start=start, config=config)
+        def tiny_step(qp, start=None):
+            res = real(qp, start=start)
             return replace(res, d=np.full(qp.n, 1e-30))
 
         monkeypatch.setattr(sqp, "solve_qp", tiny_step)
@@ -286,6 +279,28 @@ class TestSQPSolve:
         assert report.iterations == 1
         assert report.trace == ()
         assert any("no merit decrease" in note for note in report.notes)
+
+    @pytest.mark.parametrize("name, x0", [("ex5_1", (0.9, 0.9)),
+                                          ("ex5_4", (0.5, 0.4, 0.3, 0.2))])
+    def test_each_point_evaluated_once(self, monkeypatch, name, x0):
+        # the accepted trial's value and the BFGS update's Jacobian carry
+        # over to the next iteration, the trace and the report; with the
+        # support solve stubbed out, no point is evaluated twice
+        seen = {"contract": [], "jacobian": []}
+        for method in seen:
+            real = getattr(Tensor, method)
+
+            def recorded(self, x, _real=real, _calls=seen[method]):
+                _calls.append(np.asarray(x).tobytes())
+                return _real(self, x)
+
+            monkeypatch.setattr(Tensor, method, recorded)
+        monkeypatch.setattr(sqp, "_support_solution", lambda *args: None)
+        report = sqp_solve(builtin(name), np.array(x0),
+                           config=SQPConfig(keep_trace=True))
+        assert report.iterations > 1
+        for calls in seen.values():
+            assert len(calls) == len(set(calls))
 
     @pytest.mark.parametrize("name, k", [("ex5_5", 6), ("ex5_5", 7),
                                          ("ex5_5", 19), ("ex5_3", 19)])
