@@ -171,7 +171,8 @@ def is_nonsingular_m_tensor(tensor):
     # e itself often is a witness; otherwise a root of A x^{m-1} = e is one
     x = ones = np.ones(tensor.dim)
     if not positive_witness_ok(tensor, ones):
-        x = newton_on_support(tensor, ones, np.arange(tensor.dim), ones)
+        found = newton_on_support(tensor, ones, np.arange(tensor.dim), ones)
+        x = None if found is None else found[0]
     if x is not None and positive_witness_ok(tensor, x):
         return Certificate(Verdict.CERTIFIED_TRUE, "positive_vector", witness=x,
                            detail="x > 0 with A x^(m-1) > 0 found")
@@ -193,54 +194,74 @@ def is_nonsingular_m_tensor(tensor):
 # ---------------------------------------------------------------------------
 # sampled checks
 
+# The sampled checks evaluate their points in (k, n) stacks, one kernel call
+# per stack; k is chosen so a stack holds about this many kernel terms (or
+# Jacobian entries), which keeps memory flat in the tensor's size.
+TERM_BUDGET = 2 ** 14
+
+
+def _stack_rows(tensor):
+    """Points per stack: TERM_BUDGET over the terms (or entries) per point."""
+    per_point = max(tensor.nnz * (tensor.order - 1), tensor.dim ** 2)
+    return max(1, TERM_BUDGET // per_point)
+
+
+def _check_samples(num_samples):
+    if num_samples < 1:
+        raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+
+
 def _p_probes(tensor, num_samples, seed):
-    """Deterministic probes, then num_samples unit-sphere draws.
+    """Deterministic probes, then num_samples unit-sphere draws, in stacks.
 
     For odd order the strict P-condition over all of R^n is void (x -> -x
     negates every product), so probes stay in the nonnegative orthant where
     the property is meaningful (and, for Z-tensors, equivalent to being a
-    nonsingular M-tensor).  Even order probes both orthant signs.
+    nonsingular M-tensor).  Even order probes both orthant signs.  Yields
+    (k, n) stacks of at most `_stack_rows` probes, in probe order.
     """
     n, m = tensor.dim, tensor.order
     eye = np.eye(n)
-    for i in range(n):
-        yield eye[i]
     if m % 2 == 0:
-        for i in range(n):
-            yield -eye[i]
         if n <= 14:
-            for bits in range(2 ** n):
-                yield np.array([1.0 if bits >> i & 1 else -1.0 for i in range(n)])
+            signs = np.where(np.arange(2 ** n)[:, None] >> np.arange(n) & 1, 1.0, -1.0)
         else:
-            yield np.ones(n)
+            signs = np.ones((1, n))
+        fixed = np.concatenate([eye, -eye, signs])
     else:
-        yield np.ones(n)
+        fixed = np.concatenate([eye, np.ones((1, n))])
+    rows = _stack_rows(tensor)
+    for start in range(0, len(fixed), rows):
+        yield fixed[start:start + rows]
     rng = np.random.default_rng(seed)
-    for _ in range(num_samples):
-        x = rng.standard_normal(n)
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            continue
-        x /= norm
+    for start in range(0, num_samples, rows):
+        x = rng.standard_normal((min(rows, num_samples - start), n))
+        # equal bit for bit to np.linalg.norm of each row; norm(axis=1) is not
+        norm = np.sqrt(np.vecdot(x, x))
+        nonzero = norm != 0.0
+        x = x[nonzero] / norm[nonzero, None]
         yield np.abs(x) if m % 2 else x
 
 
 def _p_sample(tensor, num_samples, seed):
     """Search the probe set for an x refuting the strict P-condition."""
-    for x in _p_probes(tensor, num_samples, seed):
-        products = x * tensor.contract(x)
-        active = x != 0.0
-        if np.any(active) and np.max(products[active]) <= 0.0:
-            return x
+    for xs in _p_probes(tensor, num_samples, seed):
+        active = xs != 0.0
+        top = np.max(xs * tensor.contract(xs), axis=1, where=active, initial=-np.inf)
+        refuting = np.flatnonzero(active.any(axis=1) & (top <= 0.0))
+        if refuting.size:
+            return xs[refuting[0]].copy()
     return None
 
 
-def is_p_tensor(tensor, num_samples=1000, seed=42):
-    """P-tensor check: certified via the M-equivalence for Z-tensors,
-    sampled (supported/refuted) otherwise."""
-    z = is_z_tensor(tensor)
-    if z.positive:
-        m_cert = is_nonsingular_m_tensor(tensor)
+def _z_m_check(tensor):
+    """M-check of A when A is a Z-tensor, else None."""
+    return is_nonsingular_m_tensor(tensor) if is_z_tensor(tensor).positive else None
+
+
+def _p_certificate(tensor, m_cert, num_samples, seed):
+    """P-check of A, given m_cert = _z_m_check(A)."""
+    if m_cert is not None:
         if m_cert.verdict is Verdict.CERTIFIED_TRUE:
             return Certificate(Verdict.CERTIFIED_TRUE, "z_m_equivalence",
                                witness=m_cert.witness, evidence=m_cert.evidence,
@@ -263,6 +284,13 @@ def is_p_tensor(tensor, num_samples=1000, seed=42):
                        detail=f"no counterexample among deterministic probes + {num_samples} samples")
 
 
+def is_p_tensor(tensor, num_samples=1000, seed=42):
+    """P-tensor check: certified via the M-equivalence for Z-tensors,
+    sampled (supported/refuted) otherwise."""
+    _check_samples(num_samples)
+    return _p_certificate(tensor, _z_m_check(tensor), num_samples, seed)
+
+
 _RANK = {Verdict.CERTIFIED_TRUE: 3, Verdict.SUPPORTED: 2, Verdict.UNKNOWN: 1}
 
 
@@ -271,9 +299,12 @@ def is_ks_tensor(tensor, num_samples=1000, seed=42):
 
     The verdict is the weaker of the two; any negative branch refutes.
     """
-    p_cert = is_p_tensor(tensor, num_samples=num_samples, seed=seed)
-    split = ks_split(tensor)
-    w_cert = is_nonsingular_m_tensor(split.W)
+    _check_samples(num_samples)
+    m_cert = _z_m_check(tensor)
+    p_cert = _p_certificate(tensor, m_cert, num_samples, seed)
+    # A is a Z-tensor exactly when ks_split leaves N empty; then W = A and
+    # A's M-check is W's
+    w_cert = m_cert if m_cert is not None else is_nonsingular_m_tensor(ks_split(tensor).W)
     if p_cert.negative:
         return Certificate(Verdict.REFUTED, "p_check", witness=p_cert.witness,
                            evidence=p_cert.evidence,
@@ -297,14 +328,18 @@ def z_function_check(tensor, num_samples=1000, seed=42):
     its Jacobian is a Z-matrix on the nonnegative orthant; a single positive
     off-diagonal entry at a sampled point refutes that.
     """
+    _check_samples(num_samples)
     n = tensor.dim
     rng = np.random.default_rng(seed)
     mask = ~np.eye(n, dtype=bool)
-    for _ in range(num_samples):
-        x = rng.uniform(0.0, 10.0, n)
-        jac = tensor.jacobian(x)
-        off = jac[mask]
-        if off.size and np.max(off) > OFFDIAG_TOL:
+    rows = _stack_rows(tensor)
+    for start in range(0, num_samples, rows):
+        xs = rng.uniform(0.0, 10.0, (min(rows, num_samples - start), n))
+        jacs = tensor.jacobian(xs)
+        top = np.max(jacs[:, mask], axis=1, initial=-np.inf)
+        refuting = np.flatnonzero(top > OFFDIAG_TOL)
+        if refuting.size:
+            x, jac = xs[refuting[0]].copy(), jacs[refuting[0]]
             flat = np.where(mask, jac, -np.inf)
             i, j = np.unravel_index(int(np.argmax(flat)), jac.shape)
             return Certificate(

@@ -212,6 +212,9 @@ def _witness_str(witness):
 
 
 def cmd_classify(args):
+    if args.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
+        return 2
     tensor = _load_tensor(args, lambda m: print(f"error: {m}", file=sys.stderr))
     if tensor is None:
         return 2

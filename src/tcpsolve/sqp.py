@@ -197,7 +197,11 @@ def _tcp_violation(x, w):
 def verify_solution(problem, x):
     """Measure how far x is from solving the complementarity problem."""
     x = np.asarray(x, dtype=float)
-    w = constraint_value(problem, x)
+    return _verification(x, constraint_value(problem, x))
+
+
+def _verification(x, w):
+    """`verify_solution` of x, given w = A x^(m-1) - q."""
     return Verification(
         min_x=float(np.min(x)),
         min_slack=float(np.min(w)),
@@ -208,17 +212,20 @@ def verify_solution(problem, x):
 
 
 def _first_verified(problem, candidates, eps2):
-    """Newton point of the first (support, start) pair that verifies, or None.
+    """(x, A x^(m-1) - q) at the Newton point of the first (support, start)
+    pair that verifies, or None.
 
-    Verified: `verify_solution` passes on all n rows of both systems at eps2.
+    Verified: `verify_solution` passes on all n rows of both systems at
+    eps2, judged on the map value Newton returns with the point.
     """
     for support, x0 in candidates:
-        x = newton_on_support(problem.tensor, problem.q, support, x0)
-        if x is None:
+        found = newton_on_support(problem.tensor, problem.q, support, x0)
+        if found is None:
             continue
-        check = verify_solution(problem, x)
+        x, h = found[0], found[1] - problem.q
+        check = _verification(x, h)
         if max(check.max_violation, check.equation_residual) <= eps2:
-            return x
+            return x, h
     return None
 
 
@@ -238,7 +245,8 @@ def _support_solution(problem, x, eps2):
     candidate that verifies wins: the support of x, that support minus one
     coordinate, every coordinate from e, and all but one coordinate from e.
     Coordinates are then dropped one at a time while a verified point
-    remains.  Returns None when no candidate verifies.
+    remains.  Returns (x, A x^(m-1) - q) at that point, or None when no
+    candidate verifies.
     """
     ones = np.ones(problem.dim)
     support = np.flatnonzero(x > SPARSITY_TOL)
@@ -249,8 +257,8 @@ def _support_solution(problem, x, eps2):
     best = None
     while found is not None:
         best = found
-        found = _first_verified(
-            problem, _drop_one(np.flatnonzero(best > 0.0), best), eps2)
+        x = best[0]
+        found = _first_verified(problem, _drop_one(np.flatnonzero(x > 0.0), x), eps2)
     return best
 
 
@@ -352,8 +360,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         if status != KKT:
             notes.append(f"{status} run completed by a Newton solve on "
                          "a candidate support")
-        x, status = found, KKT
-        h = constraint_value(problem, x)
+        (x, h), status = found, KKT
         jac = problem.tensor.jacobian(x)
     if status == KKT:
         mu, lam = least_squares_multipliers(jac)

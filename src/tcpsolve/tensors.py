@@ -84,6 +84,8 @@ class Tensor:
         else:
             self._idx = np.zeros((0, self.order), dtype=np.intp)
             self._val = np.zeros(0)
+        # contraction term list: first indices, tail index rows, values
+        self._terms = self._idx[:, 0].copy(), self._idx[:, 1:].T.copy(), self._val
         self._sym = None
 
     # -- basic protocol ----------------------------------------------------
@@ -132,16 +134,21 @@ class Tensor:
     # -- contractions --------------------------------------------------------
 
     def contract(self, x):
-        """A x^{m-1}: contract x into every index slot but the first."""
+        """A x^{m-1}: contract x into every index slot but the first.
+
+        A (k, n) stack of points gives the (k, n) stack of results, each
+        row equal bit for bit to the call on that row alone.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dim,):
-            raise ValueError(f"vector of length {self.dim} expected, got shape {x.shape}")
+            return _sum_stack(x, self.dim, *self._terms, self.dim)
         if self.nnz == 0:
             return np.zeros(self.dim)
-        w = self._val.copy()
-        for c in range(1, self.order):
-            w *= x[self._idx[:, c]]
-        return np.bincount(self._idx[:, 0], weights=w, minlength=self.dim)
+        rows, tail, w = self._terms
+        w = w.copy()
+        for cols in tail:
+            w *= x[cols]
+        return np.bincount(rows, weights=w, minlength=self.dim)
 
     def symmetrized(self):
         """Partial symmetrization over the last m-1 index slots (cached).
@@ -177,11 +184,9 @@ class Tensor:
         of every entry are listed once per tensor, on the first call: flat
         positions i*n + jc, the other m-2 tail indices, and the values; each
         call then does m-2 gather-multiplies and one bincount.  For order 2
-        this is A itself.
+        this is A itself.  A (k, n) stack of points gives a (k, n, n) stack.
         """
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"vector of length {self.dim} expected, got shape {x.shape}")
         if self._jac_terms is None:
             tail = self._idx[:, 1:]
             slots = range(self.order - 1)
@@ -189,6 +194,11 @@ class Tensor:
             others = np.concatenate([np.delete(tail, c, axis=1) for c in slots]).T.copy()
             self._jac_terms = flat, others, np.tile(self._val, self.order - 1)
         flat, others, val = self._jac_terms
+        n = self.dim
+        if x.shape != (n,):
+            return _sum_stack(x, n, flat, others, val, n * n).reshape(-1, n, n)
+        if self.nnz == 0:
+            return np.zeros((n, n))
         w = val.copy()
         for cols in others:
             w *= x[cols]
@@ -224,6 +234,27 @@ class Tensor:
         return Tensor(self.order, self.dim, acc)
 
 
+def _sum_stack(x, n, pos, cols, val, size):
+    """Row r of the (k, size) result: sum val[t] * prod_c x[r, cols[c][t]]
+    into bin pos[t], for a (k, n) stack x.
+
+    Row r's terms go to bins r*size .. (r+1)*size - 1 in list order, and
+    bincount adds each bin's terms in that order, so every row is summed
+    exactly as the single-point kernels sum it.
+    """
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"vector of length {n} or (k, {n}) stack expected, "
+                         f"got shape {x.shape}")
+    k = x.shape[0]
+    if val.size == 0:
+        return np.zeros((k, size))
+    w = np.tile(val, (k, 1))
+    for c in cols:
+        w *= x[:, c]
+    bins = (pos + size * np.arange(k)[:, None]).ravel()
+    return np.bincount(bins, weights=w.ravel(), minlength=k * size).reshape(k, size)
+
+
 def identity(order, dim):
     """Identity tensor: ones on the diagonal, zero elsewhere."""
     return Tensor(order, dim, {(i,) * order: 1.0 for i in range(dim)})
@@ -236,16 +267,17 @@ def newton_on_support(tensor, rhs, support, x0):
     positive there.  Each step is cut to at most 95% of the way to the
     orthant boundary, then halved until the max-norm residual on S drops.
     The iteration ends after 60 steps, or sooner when that residual reaches
-    roundoff or no halving helps.  Returns the last iterate, or None when
-    the Jacobian block on S is singular or the step is not finite; callers
-    verify the point.
+    roundoff or no halving helps.  Returns the last iterate x with the full
+    A x^{m-1} there, or None when the Jacobian block on S is singular or
+    the step is not finite; callers verify the point.
     """
     x = np.zeros(tensor.dim)
     x[support] = x0[support]
+    ax = tensor.contract(x)
     if support.size == 0:
-        return x
+        return x, ax
     rhs = rhs[support]
-    r = tensor.contract(x)[support] - rhs
+    r = ax[support] - rhs
     norm = float(np.max(np.abs(r)))
     tol = 1e-14 * max(1.0, float(np.max(np.abs(rhs))))
     for _ in range(60):
@@ -262,15 +294,16 @@ def newton_on_support(tensor, rhs, support, x0):
         while alpha > 1e-10:
             trial = x.copy()
             trial[support] += alpha * dx
-            r_trial = tensor.contract(trial)[support] - rhs
+            ax_trial = tensor.contract(trial)
+            r_trial = ax_trial[support] - rhs
             norm_trial = float(np.max(np.abs(r_trial)))
             if norm_trial < norm:
                 break
             alpha *= 0.5
         else:
             break
-        x, r, norm = trial, r_trial, norm_trial
-    return x
+        x, ax, r, norm = trial, ax_trial, r_trial, norm_trial
+    return x, ax
 
 
 @dataclass(frozen=True)

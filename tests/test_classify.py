@@ -3,13 +3,17 @@ certificate invariants (witness re-validation, split round-trip, and the
 Z-tensor agreement between the KS check and the M check).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tcpsolve import (Tensor, Verdict, builtin, is_ks_tensor, is_nonnegative,
+from tcpsolve import (BUILTIN_NAMES, TCPProblem, Tensor, Verdict, builtin,
+                      classify, generate_ks_instance, is_ks_tensor, is_nonnegative,
                       is_nonsingular_m_tensor, is_p_tensor, is_z_tensor,
                       ks_split, satisfies_condition2, z_function_check)
-from tcpsolve.classify import positive_witness_ok
+from tcpsolve.classify import (OFFDIAG_TOL, _p_probes, _p_sample, _stack_rows,
+                               positive_witness_ok)
 from tcpsolve.tensors import identity
 
 
@@ -30,6 +34,73 @@ def random_z_tensor(rng, order, dim, strength):
     for i in range(dim):
         entries[(i,) * order] = strength * (row_mass[i] + 1.0)
     return Tensor(order, dim, entries)
+
+
+def builtin_tensor(name):
+    obj = builtin(name)
+    return obj.tensor if isinstance(obj, TCPProblem) else obj
+
+
+def reference_p_probes(tensor, num_samples, seed):
+    """The P-check's probes drawn one point at a time: the sequence the
+    stacks of `_p_probes` must reproduce."""
+    n, m = tensor.dim, tensor.order
+    eye = np.eye(n)
+    probes = [eye[i] for i in range(n)]
+    if m % 2 == 0:
+        probes += [-eye[i] for i in range(n)]
+        if n <= 14:
+            probes += [np.array([1.0 if bits >> i & 1 else -1.0 for i in range(n)])
+                       for bits in range(2 ** n)]
+        else:
+            probes.append(np.ones(n))
+    else:
+        probes.append(np.ones(n))
+    rng = np.random.default_rng(seed)
+    for _ in range(num_samples):
+        x = rng.standard_normal(n)
+        norm = np.linalg.norm(x)
+        if norm != 0.0:
+            x /= norm
+            probes.append(np.abs(x) if m % 2 else x)
+    return probes
+
+
+def reference_p_sample(tensor, num_samples, seed):
+    """(index, x) of the first refuting probe, by the one-point-at-a-time
+    loop that the stacked `_p_sample` must reproduce; (None, None) if none."""
+    for k, x in enumerate(reference_p_probes(tensor, num_samples, seed)):
+        products = x * tensor.contract(x)
+        active = x != 0.0
+        if np.any(active) and np.max(products[active]) <= 0.0:
+            return k, x
+    return None, None
+
+
+def reference_z_function(tensor, num_samples, seed):
+    """(index, x, evidence) of the first refuting sample, by the
+    one-point-at-a-time loop that the stacked `z_function_check` must
+    reproduce; (None, None, {}) if none."""
+    n = tensor.dim
+    rng = np.random.default_rng(seed)
+    mask = ~np.eye(n, dtype=bool)
+    for k in range(num_samples):
+        x = rng.uniform(0.0, 10.0, n)
+        jac = tensor.jacobian(x)
+        off = jac[mask]
+        if off.size and np.max(off) > OFFDIAG_TOL:
+            flat = np.where(mask, jac, -np.inf)
+            i, j = np.unravel_index(int(np.argmax(flat)), jac.shape)
+            return k, x, {"entry": (int(i), int(j)), "value": float(jac[i, j])}
+    return None, None, {}
+
+
+# F_0 = x0 (x0 - x1/2), F_1 = x1 (x1 - 4 x0): no deterministic probe
+# refutes the P-condition, about one draw in seven does
+LATE_P_WITNESS = Tensor(3, 2, {(0, 0, 0): 1.0, (0, 0, 1): -0.5,
+                               (1, 1, 1): 1.0, (1, 1, 0): -4.0})
+# dF_0/dx1 = x0 - 20 x1 is positive for about one uniform sample in forty
+LATE_Z_WITNESS = Tensor(3, 2, {(0, 1, 0): 1.0, (0, 1, 1): -10.0, (1, 1, 1): 1.0})
 
 
 class TestEntryScans:
@@ -218,7 +289,86 @@ class TestPTensor:
         np.testing.assert_array_equal(np.asarray(a.witness), np.asarray(b.witness))
 
 
+class TestStackedSampling:
+    """The sampled checks run their points in stacks, with the same samples,
+    witnesses and evidence as one point at a time."""
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_builtins_match_reference(self, name):
+        t = builtin_tensor(name)
+        _, x = reference_p_sample(t, 1000, 42)
+        got = _p_sample(t, 1000, 42)
+        assert (got is None) == (x is None)
+        if x is not None:
+            assert got.tobytes() == x.tobytes()
+        _, x, evidence = reference_z_function(t, 1000, 42)
+        cert = z_function_check(t)
+        assert cert.verdict is (Verdict.SUPPORTED if x is None else Verdict.REFUTED)
+        if x is not None:
+            assert cert.witness.tobytes() == x.tobytes()
+        assert cert.evidence == evidence
+
+    @pytest.mark.parametrize("budget", [64, classify.TERM_BUDGET])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_probes_match_reference(self, monkeypatch, name, budget):
+        monkeypatch.setattr(classify, "TERM_BUDGET", budget)
+        t = builtin_tensor(name)
+        stacks = list(_p_probes(t, 1000, 42))
+        assert max(len(xs) for xs in stacks) <= _stack_rows(t)
+        assert np.concatenate(stacks).tobytes() == np.array(
+            reference_p_probes(t, 1000, 42)).tobytes()
+
+    @pytest.mark.parametrize("budget", [1, 16, 64])
+    def test_witness_past_first_stack(self, monkeypatch, budget):
+        # at seed 45 the first P witness is random draw 9 (after the three
+        # fixed probes) and the first Z witness is sample 116
+        monkeypatch.setattr(classify, "TERM_BUDGET", budget)
+        k, x = reference_p_sample(LATE_P_WITNESS, 1000, 45)
+        assert k - 3 >= _stack_rows(LATE_P_WITNESS)
+        assert _p_sample(LATE_P_WITNESS, 1000, 45).tobytes() == x.tobytes()
+        k, x, evidence = reference_z_function(LATE_Z_WITNESS, 1000, 45)
+        assert k >= _stack_rows(LATE_Z_WITNESS)
+        cert = z_function_check(LATE_Z_WITNESS, seed=45)
+        assert cert.verdict is Verdict.REFUTED
+        assert cert.witness.tobytes() == x.tobytes()
+        assert cert.evidence == evidence
+
+    def test_z_function_memory_is_bounded(self):
+        # order 4, dim 8: about 1,234 entries; all 1000 samples in one stack
+        # would need about 60 MB
+        t = generate_ks_instance(4, 8, density=0.3, seed=101).tensor
+        assert t.nnz > 1200
+        tracemalloc.start()
+        try:
+            cert = z_function_check(t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.verdict is Verdict.SUPPORTED
+        assert peak < 2 * 2 ** 20
+
+    @pytest.mark.parametrize("check", [z_function_check, is_p_tensor, is_ks_tensor])
+    @pytest.mark.parametrize("num_samples", [0, -3])
+    def test_rejects_sample_count_below_one(self, check, num_samples):
+        with pytest.raises(ValueError, match="num_samples"):
+            check(builtin_tensor("ex5_5"), num_samples=num_samples)
+
+
 class TestKSTensor:
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_one_m_check(self, monkeypatch, name):
+        # for a Z-tensor W = A, so the P-check's M-check serves W too
+        calls = []
+        real = classify.is_nonsingular_m_tensor
+
+        def counted(tensor):
+            calls.append(tensor)
+            return real(tensor)
+
+        monkeypatch.setattr(classify, "is_nonsingular_m_tensor", counted)
+        is_ks_tensor(builtin_tensor(name))
+        assert len(calls) == 1
 
     def test_fixture_verdicts(self):
         assert is_ks_tensor(builtin("ex2_1")).verdict is Verdict.SUPPORTED

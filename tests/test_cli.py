@@ -64,6 +64,14 @@ class TestExitCodes:
         assert code == 2
         assert "--starts must be >= 1" in err
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_classify_without_samples_is_usage_error(self, capsys, samples):
+        code, out, err = run(capsys, "classify", "--builtin", "ex5_5",
+                             "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert "--samples must be >= 1" in err
+
     def test_bench_without_starts_is_usage_error(self, capsys, tmp_path):
         code, out, err = run(capsys, "bench", "--out", str(tmp_path),
                              "--starts", "0")

@@ -22,6 +22,20 @@ def multistart_start(problem, k, seed=42):
     return tuple(rng.uniform(0.0, 1.0, problem.dim) for _ in range(3))
 
 
+def record_evaluations(monkeypatch):
+    """Wrap Tensor.contract and Tensor.jacobian to record each point's bytes."""
+    seen = {"contract": [], "jacobian": []}
+    for method in seen:
+        real = getattr(Tensor, method)
+
+        def recorded(self, x, _real=real, _calls=seen[method]):
+            _calls.append(np.asarray(x).tobytes())
+            return _real(self, x)
+
+        monkeypatch.setattr(Tensor, method, recorded)
+    return seen
+
+
 def solves_both_systems(problem, x, tol):
     check = verify_solution(problem, x)
     return max(check.max_violation, check.equation_residual) <= tol
@@ -286,21 +300,36 @@ class TestSQPSolve:
         # the accepted trial's value and the BFGS update's Jacobian carry
         # over to the next iteration, the trace and the report; with the
         # support solve stubbed out, no point is evaluated twice
-        seen = {"contract": [], "jacobian": []}
-        for method in seen:
-            real = getattr(Tensor, method)
-
-            def recorded(self, x, _real=real, _calls=seen[method]):
-                _calls.append(np.asarray(x).tobytes())
-                return _real(self, x)
-
-            monkeypatch.setattr(Tensor, method, recorded)
+        seen = record_evaluations(monkeypatch)
         monkeypatch.setattr(sqp, "_support_solution", lambda *args: None)
         report = sqp_solve(builtin(name), np.array(x0),
                            config=SQPConfig(keep_trace=True))
         assert report.iterations > 1
         for calls in seen.values():
             assert len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("name, x0", [("ex5_1", (0.9, 0.9)),
+                                          ("ex5_4", (0.5, 0.4, 0.3, 0.2))])
+    def test_support_points_evaluated_once(self, monkeypatch, name, x0):
+        # the real support solve verifies and reports each Newton point with
+        # the map value Newton returns, so no point it returns is contracted
+        # again
+        seen = record_evaluations(monkeypatch)
+        returned = []   # (contractions so far, point) per Newton point
+
+        def newton(*args, _real=sqp.newton_on_support):
+            found = _real(*args)
+            if found is not None:
+                x, _ = found
+                returned.append((len(seen["contract"]), x.tobytes()))
+            return found
+
+        monkeypatch.setattr(sqp, "newton_on_support", newton)
+        report = sqp_solve(builtin(name), np.array(x0))
+        assert report.converged
+        assert report.x.tobytes() in {x for _, x in returned}
+        for at, x in returned:
+            assert x not in seen["contract"][at:]
 
     @pytest.mark.parametrize("name, k", [("ex5_5", 6), ("ex5_5", 7),
                                          ("ex5_5", 19), ("ex5_3", 19)])
@@ -345,14 +374,16 @@ class TestSupportSolve:
             if point is None:
                 continue
             found += 1
-            assert solves_both_systems(problem, point, eps2)
+            x, h = point
+            assert solves_both_systems(problem, x, eps2)
+            np.testing.assert_array_equal(h, constraint_value(problem, x))
         assert found > 0
 
     @pytest.mark.parametrize("name", SMALL_BUILTINS)
     def test_reference_support_gives_reference(self, name):
         problem = builtin(name)
         ref, tol = reference_solution(name)
-        point = _support_solution(problem, ref, SQPConfig().eps2)
+        point, _ = _support_solution(problem, ref, SQPConfig().eps2)
         np.testing.assert_allclose(point, ref, atol=tol)
         assert np.array_equal(point == 0.0, ref == 0.0)
 

@@ -320,27 +320,78 @@ class TestJacobian:
             assert float(np.max(np.abs(fd - jac) / scale)) <= 1e-6
 
 
+class TestStacks:
+    """A (k, n) stack of points through contract and jacobian."""
+
+    @staticmethod
+    def assert_rows_match(t, xs):
+        # every row of the stacked result is the single call on that row
+        for kernel, shape in ((t.contract, (t.dim,)), (t.jacobian, (t.dim, t.dim))):
+            stacked = kernel(xs)
+            assert stacked.shape == (len(xs),) + shape
+            for x, row in zip(xs, stacked):
+                single = kernel(x)
+                assert row.dtype == single.dtype == np.float64
+                np.testing.assert_array_equal(row, single)
+
+    def test_random_tensors_match_single_calls(self):
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            order = int(rng.integers(2, 6))
+            dim = int(rng.integers(1, 5))
+            t, _ = random_tensor(rng, order, dim)
+            xs = rng.standard_normal((int(rng.integers(1, 7)), dim))
+            xs[rng.random(xs.shape) < 0.3] = 0.0
+            self.assert_rows_match(t, xs)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_ex5_5(self, k):
+        t = builtin("ex5_5").tensor
+        self.assert_rows_match(t, np.random.default_rng(20).uniform(0.0, 2.0, (k, t.dim)))
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_order_two(self, k):
+        rng = np.random.default_rng(21)
+        t = Tensor.from_dense(rng.standard_normal((3, 3)))
+        self.assert_rows_match(t, rng.standard_normal((k, 3)))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("order", [2, 3, 5])
+    def test_empty_tensor(self, order, k):
+        self.assert_rows_match(Tensor(order, 3, {}), np.ones((k, 3)))
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 3), (1, 1, 3), (4, 2), (4, 4)])
+    def test_rejects_bad_shapes(self, shape):
+        t = identity(3, 3)
+        for kernel in (t.contract, t.jacobian):
+            with pytest.raises(ValueError):
+                kernel(np.ones(shape))
+
+
 class TestNewtonOnSupport:
 
     def test_identity_root_on_support(self):
         # I x^2 = (x1^2, x2^2, x3^2): on S = {0, 2} the root is sqrt(rhs_S)
         t = identity(3, 3)
-        x = newton_on_support(t, np.array([4.0, 9.0, 2.0]), np.array([0, 2]),
-                              np.ones(3))
+        x, ax = newton_on_support(t, np.array([4.0, 9.0, 2.0]), np.array([0, 2]),
+                                  np.ones(3))
         np.testing.assert_allclose(x, [2.0, 0.0, math.sqrt(2.0)], rtol=1e-14)
         assert x[1] == 0.0
+        np.testing.assert_array_equal(ax, t.contract(x))
 
     def test_stays_inside_orthant(self):
         # -x^2 = 1 has no root; every Newton step heads for x <= 0, and each
         # is cut short so the iterate stays strictly positive
         t = Tensor(3, 1, {(0, 0, 0): -1.0})
-        x = newton_on_support(t, np.ones(1), np.array([0]), np.ones(1))
+        x, ax = newton_on_support(t, np.ones(1), np.array([0]), np.ones(1))
         assert 0.0 < x[0] < 1e-3
+        np.testing.assert_array_equal(ax, t.contract(x))
 
     def test_empty_support_gives_zero(self):
-        x = newton_on_support(identity(3, 2), np.ones(2), np.array([], dtype=np.intp),
-                              np.ones(2))
+        x, ax = newton_on_support(identity(3, 2), np.ones(2),
+                                  np.array([], dtype=np.intp), np.ones(2))
         np.testing.assert_array_equal(x, np.zeros(2))
+        np.testing.assert_array_equal(ax, np.zeros(2))
 
     def test_singular_block_gives_none(self):
         # row 2 of the map is identically zero, so its Jacobian row is too
