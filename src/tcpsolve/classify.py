@@ -148,7 +148,7 @@ def positive_witness_ok(tensor, x):
 
 
 def is_nonsingular_m_tensor(tensor):
-    """Nonsingular M-tensor check (the tensor must be a Z-tensor).
+    """Nonsingular M-tensor check; certified_false for a non-Z-tensor.
 
     Decisive positive route: find x > 0 with A x^{m-1} > 0, trying x = e and
     then damped Newton from e on A x^{m-1} = e.  Fallback:
@@ -159,6 +159,11 @@ def is_nonsingular_m_tensor(tensor):
     if z.negative:
         return Certificate(Verdict.CERTIFIED_FALSE, "entry_scan", witness=z.witness,
                            detail="not a Z-tensor: " + z.detail)
+    return _m_check(tensor)
+
+
+def _m_check(tensor):
+    """`is_nonsingular_m_tensor` of a tensor already known to be a Z-tensor."""
     diag = tensor.diagonal()
     if np.min(diag) <= 0:
         i = int(np.argmin(diag))
@@ -170,10 +175,10 @@ def is_nonsingular_m_tensor(tensor):
                    f"at x = e_{i + 1} no index has x_i (A x^(m-1))_i > 0")
     # e itself often is a witness; otherwise a root of A x^{m-1} = e is one
     x = ones = np.ones(tensor.dim)
-    if not positive_witness_ok(tensor, ones):
-        found = newton_on_support(tensor, ones, np.arange(tensor.dim), ones)
-        x = None if found is None else found[0]
-    if x is not None and positive_witness_ok(tensor, x):
+    ax = tensor.contract(ones)
+    if not np.all(ax > 0):
+        x, ax = newton_on_support(tensor, ones, np.arange(tensor.dim), ones) or (None, None)
+    if x is not None and np.all(x > 0) and np.all(ax > 0):
         return Certificate(Verdict.CERTIFIED_TRUE, "positive_vector", witness=x,
                            detail="x > 0 with A x^(m-1) > 0 found")
     s = float(np.max(diag))
@@ -256,30 +261,24 @@ def _p_sample(tensor, num_samples, seed):
 
 def _z_m_check(tensor):
     """M-check of A when A is a Z-tensor, else None."""
-    return is_nonsingular_m_tensor(tensor) if is_z_tensor(tensor).positive else None
+    return _m_check(tensor) if is_z_tensor(tensor).positive else None
 
 
 def _p_certificate(tensor, m_cert, num_samples, seed):
     """P-check of A, given m_cert = _z_m_check(A)."""
-    if m_cert is not None:
-        if m_cert.verdict is Verdict.CERTIFIED_TRUE:
-            return Certificate(Verdict.CERTIFIED_TRUE, "z_m_equivalence",
-                               witness=m_cert.witness, evidence=m_cert.evidence,
-                               detail="Z-tensor and nonsingular M-tensor")
-        if m_cert.verdict is Verdict.CERTIFIED_FALSE:
-            x = _p_sample(tensor, num_samples, seed)
-            if x is not None:
-                return Certificate(
-                    Verdict.REFUTED, "sampled", witness=x,
-                    detail="no index with x_i != 0 has x_i (A x^(m-1))_i > 0")
-            return Certificate(Verdict.CERTIFIED_FALSE, "z_m_equivalence",
-                               witness=m_cert.witness, evidence=m_cert.evidence,
-                               detail="Z-tensor that is not a nonsingular M-tensor")
-        # M-check inconclusive: fall through to plain sampling
+    m_verdict = m_cert.verdict if m_cert is not None else None
+    if m_verdict is Verdict.CERTIFIED_TRUE:
+        return Certificate(Verdict.CERTIFIED_TRUE, "z_m_equivalence",
+                           witness=m_cert.witness, evidence=m_cert.evidence,
+                           detail="Z-tensor and nonsingular M-tensor")
     x = _p_sample(tensor, num_samples, seed)
     if x is not None:
         return Certificate(Verdict.REFUTED, "sampled", witness=x,
                            detail="no index with x_i != 0 has x_i (A x^(m-1))_i > 0")
+    if m_verdict is Verdict.CERTIFIED_FALSE:
+        return Certificate(Verdict.CERTIFIED_FALSE, "z_m_equivalence",
+                           witness=m_cert.witness, evidence=m_cert.evidence,
+                           detail="Z-tensor that is not a nonsingular M-tensor")
     return Certificate(Verdict.SUPPORTED, "sampled",
                        detail=f"no counterexample among deterministic probes + {num_samples} samples")
 
@@ -302,9 +301,9 @@ def is_ks_tensor(tensor, num_samples=1000, seed=42):
     _check_samples(num_samples)
     m_cert = _z_m_check(tensor)
     p_cert = _p_certificate(tensor, m_cert, num_samples, seed)
-    # A is a Z-tensor exactly when ks_split leaves N empty; then W = A and
+    # W is a Z-tensor by construction, and W = A exactly when A is one; then
     # A's M-check is W's
-    w_cert = m_cert if m_cert is not None else is_nonsingular_m_tensor(ks_split(tensor).W)
+    w_cert = m_cert if m_cert is not None else _m_check(ks_split(tensor).W)
     if p_cert.negative:
         return Certificate(Verdict.REFUTED, "p_check", witness=p_cert.witness,
                            evidence=p_cert.evidence,

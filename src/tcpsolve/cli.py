@@ -68,36 +68,31 @@ def _print_table(rows, headers, out):
         print("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip(), file=out)
 
 
-def _read_text(path):
-    return Path(path).read_text(encoding="utf-8")
+def _error(message):
+    """Print an error message to stderr (and return None)."""
+    print(f"error: {message}", file=sys.stderr)
+
+
+def _load(args, path, parse):
+    """The builtin named by --builtin, else parse(text) of the file at path;
+    None, after printing the error, when that fails."""
+    if args.builtin:
+        try:
+            return problems.builtin(args.builtin)
+        except KeyError as e:
+            return _error(e)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        return _error(f"cannot read {path}: {e}")
+    try:
+        return parse(text)
+    except problems.FormatError as e:
+        return _error(f"{path}: {e}")
 
 
 # ---------------------------------------------------------------------------
 # solve
-
-def _load_solvable(args, err):
-    if args.builtin:
-        try:
-            obj = problems.builtin(args.builtin)
-        except KeyError as e:
-            err(str(e))
-            return None
-        if isinstance(obj, Tensor):
-            err(f"builtin {args.builtin!r} is a classification fixture with no "
-                f"right-hand side; solvable builtins: {', '.join(SOLVABLE_BUILTINS)}")
-            return None
-        return obj
-    try:
-        text = _read_text(args.problem)
-    except OSError as e:
-        err(f"cannot read {args.problem}: {e}")
-        return None
-    try:
-        return problems.parse_problem(text, name=Path(args.problem).name)
-    except problems.FormatError as e:
-        err(f"{args.problem}: {e}")
-        return None
-
 
 def _start_rows(result):
     rows = []
@@ -148,10 +143,19 @@ def cmd_solve(args):
     if args.starts < 1:
         print("error: --starts must be >= 1", file=sys.stderr)
         return 2
-    problem = _load_solvable(args, lambda m: print(f"error: {m}", file=sys.stderr))
+    try:
+        cfg = sqp.SQPConfig(eps1=args.tol_d, eps2=args.tol_feas, max_iter=args.max_iter)
+    except ValueError as e:
+        _error(e)
+        return 2
+    problem = _load(args, args.problem,
+                    lambda text: problems.parse_problem(text, name=Path(args.problem).name))
+    if isinstance(problem, Tensor):
+        _error(f"builtin {args.builtin!r} is a classification fixture with no "
+               f"right-hand side; solvable builtins: {', '.join(SOLVABLE_BUILTINS)}")
+        return 2
     if problem is None:
         return 2
-    cfg = sqp.SQPConfig(eps1=args.tol_d, eps2=args.tol_feas, max_iter=args.max_iter)
     result = sqp.multistart_sparse(problem, n_starts=args.starts, seed=args.seed, config=cfg)
 
     if args.format == "json":
@@ -183,26 +187,6 @@ def cmd_solve(args):
 # ---------------------------------------------------------------------------
 # classify
 
-def _load_tensor(args, err):
-    if args.builtin:
-        try:
-            obj = problems.builtin(args.builtin)
-        except KeyError as e:
-            err(str(e))
-            return None
-        return obj.tensor if isinstance(obj, problems.TCPProblem) else obj
-    try:
-        text = _read_text(args.tensor)
-    except OSError as e:
-        err(f"cannot read {args.tensor}: {e}")
-        return None
-    try:
-        return problems.parse_tensor(text)
-    except problems.FormatError as e:
-        err(f"{args.tensor}: {e}")
-        return None
-
-
 def _witness_str(witness):
     if witness is None:
         return ""
@@ -215,9 +199,11 @@ def cmd_classify(args):
     if args.samples < 1:
         print("error: --samples must be >= 1", file=sys.stderr)
         return 2
-    tensor = _load_tensor(args, lambda m: print(f"error: {m}", file=sys.stderr))
+    tensor = _load(args, args.tensor, problems.parse_tensor)
     if tensor is None:
         return 2
+    if isinstance(tensor, problems.TCPProblem):
+        tensor = tensor.tensor
     results = {
         "nonnegative": classify.is_nonnegative(tensor),
         "z_tensor": classify.is_z_tensor(tensor),
@@ -357,11 +343,12 @@ def build_parser():
     src.add_argument("--builtin", help=f"builtin name ({', '.join(SOLVABLE_BUILTINS)})")
     p_solve.add_argument("--starts", type=int, default=20)
     p_solve.add_argument("--seed", type=int, default=42)
-    p_solve.add_argument("--max-iter", type=int, default=500)
+    p_solve.add_argument("--max-iter", type=int, default=500,
+                         help="SQP iterations per start, >= 0 (max_iter)")
     p_solve.add_argument("--tol-d", type=float, default=1e-6,
-                         help="stop when the QP step 1-norm falls below this")
+                         help="stop when the QP step 1-norm falls below this (eps1)")
     p_solve.add_argument("--tol-feas", type=float, default=1e-5,
-                         help="stop when primal infeasibility falls below this")
+                         help="stop when primal infeasibility falls below this (eps2)")
     p_solve.add_argument("--format", choices=("table", "csv", "json"),
                          default="table")
     p_solve.set_defaults(func=cmd_solve)

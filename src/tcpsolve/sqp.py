@@ -9,9 +9,9 @@ the equality constraint, solves the quadratic subproblem with the smoothing
 Newton method from `qp`, and globalizes with one Armijo backtracking line
 search on the l1 exact penalty merit.  Lagrangian curvature is tracked by
 damped BFGS updates, so only constraint values and Jacobians of the tensor
-map are ever needed, each evaluated once per accepted point.  A search that finds no merit decrease ends the run;
-like every other stop, it is followed by Newton solves on candidate
-supports of the final iterate.
+map are ever needed, each evaluated once per accepted point.  A search that
+finds no merit decrease ends the run; like every other stop, it is followed
+by Newton solves on candidate supports of the final iterate.
 
 `multistart_sparse` runs the solver from a batch of seeded random starts and
 returns the sparsest verified solution, which is the intended entry point.
@@ -59,14 +59,23 @@ class SQPConfig:
     eps1 bounds the QP step 1-norm and eps2 the primal infeasibility at
     termination; eps2 is also the tolerance at which a point from the
     support solve must pass `verify_solution` on both systems.  max_iter
-    caps the outer iterations; keep_trace records one `IterationRecord`
-    per accepted step.
+    caps the outer iterations (0 leaves only the support solve);
+    keep_trace records one `IterationRecord` per accepted step.  eps1 and
+    eps2 must be finite and > 0 and max_iter >= 0, else ValueError.
     """
 
     eps1: float = 1e-6
     eps2: float = 1e-5
     max_iter: int = 500
     keep_trace: bool = False
+
+    def __post_init__(self):
+        for name in ("eps1", "eps2"):
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -187,13 +196,6 @@ def damped_bfgs(b, s, y):
     return 0.5 * (b_new + b_new.T)
 
 
-def _tcp_violation(x, w):
-    return max(0.0,
-               -float(np.min(x)),
-               -float(np.min(w)),
-               float(np.max(np.abs(x * w))))
-
-
 def verify_solution(problem, x):
     """Measure how far x is from solving the complementarity problem."""
     x = np.asarray(x, dtype=float)
@@ -202,12 +204,14 @@ def verify_solution(problem, x):
 
 def _verification(x, w):
     """`verify_solution` of x, given w = A x^(m-1) - q."""
+    min_x, min_slack = float(np.min(x)), float(np.min(w))
+    complementarity = float(np.max(np.abs(x * w)))
     return Verification(
-        min_x=float(np.min(x)),
-        min_slack=float(np.min(w)),
-        complementarity=float(np.max(np.abs(x * w))),
+        min_x=min_x,
+        min_slack=min_slack,
+        complementarity=complementarity,
         equation_residual=float(np.max(np.abs(w))),
-        max_violation=max(_tcp_violation(x, w), 0.0),
+        max_violation=max(0.0, -min_x, -min_slack, complementarity),
     )
 
 
@@ -364,6 +368,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         jac = problem.tensor.jacobian(x)
     if status == KKT:
         mu, lam = least_squares_multipliers(jac)
+    check = _verification(x, h)
 
     return SolveReport(
         x=x,
@@ -373,8 +378,8 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         iterations=iterations,
         step_norm=step_norm,
         feasibility=infeasibility(x, h),
-        equation_residual=float(np.max(np.abs(h))),
-        tcp_residual=_tcp_violation(x, h),
+        equation_residual=check.equation_residual,
+        tcp_residual=check.max_violation,
         objective=float(np.sum(x)),
         l0=int(np.sum(x > SPARSITY_TOL)),
         start_point=start_point,

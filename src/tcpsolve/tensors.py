@@ -9,15 +9,16 @@ which is the object every other module here is built on: the complementarity
 problem asks for x >= 0 with F(x) - q >= 0 and x'(F(x) - q) = 0.
 
 Its Jacobian comes from the product rule on the stored entries: each entry
-and tail slot is one term, and the term list (flat positions, the other
-tail indices, the values) is built on the first `jacobian` call and cached
-on the tensor, so no call expands the tensor over tail permutations.
+and tail slot is one term, so no call expands the tensor over tail
+permutations.  Both maps cache their term lists on the tensor at first use
+and sum them with one kernel, `_sum_terms`, at a point or a (k, n) stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,8 +52,6 @@ class Tensor:
     Zero values are dropped, duplicate tuples rejected, indices range-checked.
     """
 
-    _jac_terms = None   # Jacobian term list, built by the first jacobian call
-
     def __init__(self, order, dim, entries):
         if order < 2:
             raise ValueError(f"tensor order must be >= 2, got {order}")
@@ -84,8 +83,6 @@ class Tensor:
         else:
             self._idx = np.zeros((0, self.order), dtype=np.intp)
             self._val = np.zeros(0)
-        # contraction term list: first indices, tail index rows, values
-        self._terms = self._idx[:, 0].copy(), self._idx[:, 1:].T.copy(), self._val
         self._sym = None
 
     # -- basic protocol ----------------------------------------------------
@@ -133,22 +130,18 @@ class Tensor:
 
     # -- contractions --------------------------------------------------------
 
+    @cached_property
+    def _terms(self):
+        """Contraction term list: first indices, tail index rows, values."""
+        return self._idx[:, 0].copy(), self._idx[:, 1:].T.copy(), self._val
+
     def contract(self, x):
         """A x^{m-1}: contract x into every index slot but the first.
 
         A (k, n) stack of points gives the (k, n) stack of results, each
         row equal bit for bit to the call on that row alone.
         """
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            return _sum_stack(x, self.dim, *self._terms, self.dim)
-        if self.nnz == 0:
-            return np.zeros(self.dim)
-        rows, tail, w = self._terms
-        w = w.copy()
-        for cols in tail:
-            w *= x[cols]
-        return np.bincount(rows, weights=w, minlength=self.dim)
+        return _sum_terms(x, self.dim, self._terms, self.dim)
 
     def symmetrized(self):
         """Partial symmetrization over the last m-1 index slots (cached).
@@ -176,6 +169,15 @@ class Tensor:
             self._sym._sym = self._sym
         return self._sym
 
+    @cached_property
+    def _jac_terms(self):
+        """Jacobian term list, as `jacobian` describes it."""
+        tail = self._idx[:, 1:]
+        slots = range(self.order - 1)
+        flat = np.concatenate([self._idx[:, 0] * self.dim + tail[:, c] for c in slots])
+        others = np.concatenate([np.delete(tail, c, axis=1) for c in slots]).T.copy()
+        return flat, others, np.tile(self._val, self.order - 1)
+
     def jacobian(self, x):
         """Derivative of x -> A x^{m-1}, by the product rule on stored entries.
 
@@ -186,24 +188,9 @@ class Tensor:
         call then does m-2 gather-multiplies and one bincount.  For order 2
         this is A itself.  A (k, n) stack of points gives a (k, n, n) stack.
         """
-        x = np.asarray(x, dtype=float)
-        if self._jac_terms is None:
-            tail = self._idx[:, 1:]
-            slots = range(self.order - 1)
-            flat = np.concatenate([self._idx[:, 0] * self.dim + tail[:, c] for c in slots])
-            others = np.concatenate([np.delete(tail, c, axis=1) for c in slots]).T.copy()
-            self._jac_terms = flat, others, np.tile(self._val, self.order - 1)
-        flat, others, val = self._jac_terms
         n = self.dim
-        if x.shape != (n,):
-            return _sum_stack(x, n, flat, others, val, n * n).reshape(-1, n, n)
-        if self.nnz == 0:
-            return np.zeros((n, n))
-        w = val.copy()
-        for cols in others:
-            w *= x[cols]
-        return np.bincount(flat, weights=w, minlength=self.dim * self.dim).reshape(
-            self.dim, self.dim)
+        out = _sum_terms(x, n, self._jac_terms, n * n)
+        return out.reshape(n, n) if out.ndim == 1 else out.reshape(-1, n, n)
 
     # -- structure queries used by the classifier ---------------------------
 
@@ -234,20 +221,34 @@ class Tensor:
         return Tensor(self.order, self.dim, acc)
 
 
-def _sum_stack(x, n, pos, cols, val, size):
-    """Row r of the (k, size) result: sum val[t] * prod_c x[r, cols[c][t]]
-    into bin pos[t], for a (k, n) stack x.
+def _sum_terms(x, n, terms, size):
+    """Sum val[t] * prod_c x[cols[c][t]] into bin pos[t] of a length-size
+    result, for terms = (pos, cols, val) and a point x of shape (n,), or
+    row by row for a (k, n) stack.
 
     Row r's terms go to bins r*size .. (r+1)*size - 1 in list order, and
     bincount adds each bin's terms in that order, so every row is summed
-    exactly as the single-point kernels sum it.
+    exactly as the point on its own.  A point skips the row offsets: it
+    runs 2-3x faster than a one-row stack on the small builtins.
     """
-    if x.ndim != 2 or x.shape[1] != n:
+    pos, cols, val = terms
+    x = np.asarray(x, dtype=float)
+    if x.shape == (n,) and val.size:
+        w = val
+        for c in cols:
+            # the first product stands in for a copy of val
+            if w is val:
+                w = val * x[c]
+            else:
+                w *= x[c]
+        return np.bincount(pos, weights=w, minlength=size)
+    if x.shape != (n,) and (x.ndim != 2 or x.shape[1] != n):
         raise ValueError(f"vector of length {n} or (k, {n}) stack expected, "
                          f"got shape {x.shape}")
+    if not val.size:
+        # bincount of no weights would give int64 zeros
+        return np.zeros(x.shape[:-1] + (size,))
     k = x.shape[0]
-    if val.size == 0:
-        return np.zeros((k, size))
     w = np.tile(val, (k, 1))
     for c in cols:
         w *= x[:, c]

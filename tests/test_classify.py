@@ -41,6 +41,19 @@ def builtin_tensor(name):
     return obj.tensor if isinstance(obj, TCPProblem) else obj
 
 
+def count_calls(monkeypatch, owner, attr):
+    """Wrap owner.attr to record the first argument of every call."""
+    calls = []
+    real = getattr(owner, attr)
+
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+    return calls
+
+
 def reference_p_probes(tensor, num_samples, seed):
     """The P-check's probes drawn one point at a time: the sequence the
     stacks of `_p_probes` must reproduce."""
@@ -240,6 +253,32 @@ class TestMTensor:
         assert positive_witness_ok(w, hand)
         np.testing.assert_allclose(w.contract(hand), [0.378, 0.923], atol=1e-12)
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_newton_root_not_contracted_again(self, monkeypatch, name):
+        # Newton returns A x^(m-1) with its root, so the witness test needs
+        # no contraction of the root after Newton is done
+        contracted = []
+        real_contract = Tensor.contract
+
+        def recorded(tensor, x):
+            contracted.append((id(tensor), np.asarray(x).tobytes()))
+            return real_contract(tensor, x)
+
+        roots = []
+        real_newton = classify.newton_on_support
+
+        def newton(tensor, *args):
+            found = real_newton(tensor, *args)
+            if found is not None:
+                roots.append(((id(tensor), found[0].tobytes()), len(contracted)))
+            return found
+
+        monkeypatch.setattr(Tensor, "contract", recorded)
+        monkeypatch.setattr(classify, "newton_on_support", newton)
+        is_nonsingular_m_tensor(builtin_tensor(name))
+        for root, done in roots:
+            assert root not in contracted[done:]
+
     def test_non_z_tensor_rejected(self):
         cert = is_nonsingular_m_tensor(builtin("ex2_1"))
         assert cert.verdict is Verdict.CERTIFIED_FALSE
@@ -359,15 +398,16 @@ class TestKSTensor:
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_one_m_check(self, monkeypatch, name):
         # for a Z-tensor W = A, so the P-check's M-check serves W too
-        calls = []
-        real = classify.is_nonsingular_m_tensor
-
-        def counted(tensor):
-            calls.append(tensor)
-            return real(tensor)
-
-        monkeypatch.setattr(classify, "is_nonsingular_m_tensor", counted)
+        calls = count_calls(monkeypatch, classify, "_m_check")
         is_ks_tensor(builtin_tensor(name))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("check", [is_p_tensor, is_ks_tensor])
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_one_z_scan(self, monkeypatch, check, name):
+        # the M-checks behind both checks skip the entry scan already done
+        calls = count_calls(monkeypatch, classify, "is_z_tensor")
+        check(builtin_tensor(name))
         assert len(calls) == 1
 
     def test_fixture_verdicts(self):

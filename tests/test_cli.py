@@ -64,6 +64,23 @@ class TestExitCodes:
         assert code == 2
         assert "--starts must be >= 1" in err
 
+    @pytest.mark.parametrize("option, value, field", [
+        ("--max-iter", "-3", "max_iter"), ("--tol-feas", "nan", "eps2"),
+        ("--tol-feas", "-1", "eps2"), ("--tol-d", "nan", "eps1"),
+        ("--tol-d", "0", "eps1"), ("--tol-d", "inf", "eps1")])
+    def test_solve_bad_solver_setting_is_usage_error(self, capsys, option, value, field):
+        code, out, err = run(capsys, "solve", "--builtin", "ex5_1", "--starts", "2",
+                             option, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {field} must be")
+
+    def test_solve_zero_iterations_runs_the_support_solve(self, capsys):
+        code, out, err = run(capsys, "solve", "--builtin", "ex5_1", "--starts", "2",
+                             "--max-iter", "0", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["best"]["iterations"] == 0
+
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_classify_without_samples_is_usage_error(self, capsys, samples):
         code, out, err = run(capsys, "classify", "--builtin", "ex5_5",

@@ -357,6 +357,27 @@ class TestSQPSolve:
             sqp_solve(builtin("ex5_1"), **start)
 
 
+class TestSQPConfig:
+
+    @pytest.mark.parametrize("field", ["eps1", "eps2"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_tolerance_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SQPConfig(**{field: value})
+
+    def test_negative_iteration_cap_is_rejected(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            SQPConfig(max_iter=-3)
+
+    def test_zero_iterations_leaves_the_support_solve(self):
+        # Newton on the support of x0 = (0.9, 0.9) reaches a verified root
+        report = sqp_solve(builtin("ex5_1"), np.array([0.9, 0.9]),
+                           config=SQPConfig(max_iter=0))
+        assert report.iterations == 0
+        assert report.converged
+        assert solves_both_systems(builtin("ex5_1"), report.x, SQPConfig().eps2)
+
+
 class TestSupportSolve:
 
     # the builtin problems with n <= 4
