@@ -296,18 +296,14 @@ def cmd_bench(args):
 # gen
 
 def cmd_gen(args):
-    if args.order < 2 or args.dim < 1:
-        print("error: require order >= 2 and dim >= 1", file=sys.stderr)
-        return 2
-    if not 0.0 < args.density <= 1.0:
-        print("error: density must be in (0, 1]", file=sys.stderr)
-        return 2
     try:
-        problem = problems.generate_ks_instance(args.order, args.dim,
-                                                density=args.density,
+        problem = problems.generate_ks_instance(args.order, args.dim, density=args.density,
                                                 seed=args.seed)
+    except ValueError as e:
+        _error(e)
+        return 2
     except RuntimeError as e:
-        print(f"error: {e}", file=sys.stderr)
+        _error(e)
         return 1
     ks = problem.tags["ks"]
     cond2 = problem.tags["condition2"]
@@ -322,7 +318,7 @@ def cmd_gen(args):
     try:
         Path(args.out).write_text(text, encoding="utf-8")
     except OSError as e:
-        print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+        _error(f"cannot write {args.out}: {e}")
         return 2
     print(f"wrote {args.out}")
     return 0

@@ -76,13 +76,9 @@ class Tensor:
                 data[idx] = value
         self._entries = data
         # column-wise index arrays for vectorized contraction
-        if data:
-            keys = np.array(sorted(data), dtype=np.intp)
-            self._idx = keys
-            self._val = np.array([data[tuple(k)] for k in keys], dtype=float)
-        else:
-            self._idx = np.zeros((0, self.order), dtype=np.intp)
-            self._val = np.zeros(0)
+        keys = sorted(data)
+        self._idx = np.array(keys, dtype=np.intp).reshape(-1, self.order)
+        self._val = np.array([data[k] for k in keys], dtype=float)
         self._sym = None
 
     # -- basic protocol ----------------------------------------------------
@@ -322,39 +318,42 @@ class SpectralBracket:
         return self.hi - self.lo
 
 
-def _power_iteration(tensor, tol, max_iter):
+POWER_MAX_ITER = 10000  # power iterations per run, before and after the shift
+
+
+def _power_iteration(tensor, tol):
     """Collatz-bracketed power iteration for a nonnegative tensor.
 
     For every positive x, min_i (Bx^{m-1})_i / x_i^{m-1} <= rho(B) <= max_i of
     the same ratios, so the running intersection of the per-iterate brackets
-    stays valid. Returns (value, lo, hi, iterations, converged, hit_zero).
+    stays valid. Returns (value, lo, hi, iterations, converged).
     """
     n, m = tensor.dim, tensor.order
     x = np.ones(n)
     lo, hi = 0.0, math.inf
-    for k in range(1, max_iter + 1):
+    for k in range(1, POWER_MAX_ITER + 1):
         y = tensor.contract(x)
         denom = x ** (m - 1)
         if np.any(denom <= 0.0):
             # a coordinate underflowed: same exit as leaving the orthant,
             # the bracket collected so far stays valid
-            return 0.5 * (lo + hi), lo, hi, k, False, True
+            return 0.5 * (lo + hi), lo, hi, k, False
         ratios = y / denom
         lo = max(lo, float(ratios.min()))
         hi = min(hi, float(ratios.max()))
         if hi < lo:  # brackets valid up to roundoff; collapse
             lo = hi = 0.5 * (lo + hi)
         if hi - lo <= tol:
-            return 0.5 * (lo + hi), lo, hi, k, True, False
+            return 0.5 * (lo + hi), lo, hi, k, True
         if np.any(y <= 0.0):
             # reducible tensor: the iterate would leave the positive orthant
-            return 0.5 * (lo + hi), lo, hi, k, False, True
+            return 0.5 * (lo + hi), lo, hi, k, False
         x = y ** (1.0 / (m - 1))
         x /= x.max()
-    return 0.5 * (lo + hi), lo, hi, max_iter, False, False
+    return 0.5 * (lo + hi), lo, hi, POWER_MAX_ITER, False
 
 
-def spectral_radius(tensor, tol=1e-10, max_iter=10000):
+def spectral_radius(tensor, tol=1e-10):
     """Spectral radius of a nonnegative tensor, with certified bounds.
 
     When the plain iteration stalls on a reducible tensor, it is rerun on the
@@ -364,14 +363,14 @@ def spectral_radius(tensor, tol=1e-10, max_iter=10000):
     """
     if tensor.nnz and tensor.min_value() < 0.0:
         raise ValueError("spectral_radius requires a nonnegative tensor")
-    value, lo, hi, iters, converged, hit_zero = _power_iteration(tensor, tol, max_iter)
+    value, lo, hi, iters, converged = _power_iteration(tensor, tol)
     shifted = False
     if not converged:
         s0 = 1e-8 * tensor.max_abs()
         if s0 > 0.0:
             shifted = True
             bumped = tensor + identity(tensor.order, tensor.dim).scaled(s0)
-            v2, lo2, hi2, it2, conv2, _ = _power_iteration(bumped, tol, max_iter)
+            v2, lo2, hi2, it2, conv2 = _power_iteration(bumped, tol)
             lo = max(lo, max(lo2 - 2.0 * s0, 0.0))
             hi = min(hi, hi2)
             value, iters, converged = v2 - s0, iters + it2, conv2

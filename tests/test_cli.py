@@ -106,6 +106,13 @@ class TestExitCodes:
                              "--out", str(tmp_path / "g.tcp"))
         assert code == 2
 
+    def test_gen_over_entry_cap(self, capsys, tmp_path):
+        code, out, err = run(capsys, "gen", "--order", "10", "--dim", "9",
+                             "--out", str(tmp_path / "g.tcp"))
+        assert code == 2
+        assert "MAX_ENTRIES" in err
+        assert not (tmp_path / "g.tcp").exists()
+
     def test_bench_unwritable_out(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")

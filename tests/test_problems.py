@@ -6,6 +6,7 @@ round-trip canonical text both ways (parse after serialize and serialize
 after parse)."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from tcpsolve import (BUILTIN_NAMES, FormatError, TCPProblem, Tensor, builtin,
                       classify, generate_ks_instance, parse_problem,
                       parse_tensor, serialize_problem, serialize_tensor)
+from tcpsolve import problems
 from tcpsolve.problems import builtin_about, format_value, reference_solution
 
 GOOD = "tcp v1 order=3 dim=2\na 1 1 1 1\na 2 2 2 1\nq 0 1\n"
@@ -315,6 +317,24 @@ class TestBuiltins:
         assert builtin("ex5_2").tensor == builtin("ex2_3")
 
 
+def pool_instance(order, dim, density, seed):
+    """The generator by enumeration: list every off-diagonal tuple, choose
+    from the list, then draw one value per tuple and add up each row."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)))
+    pool = [idx for idx in itertools.product(range(dim), repeat=order)
+            if any(i != idx[0] for i in idx[1:])]
+    count = min(max(1, int(round(density * (dim ** order - dim)))), len(pool))
+    entries = {}
+    for i in rng.choice(len(pool), size=count, replace=False):
+        entries[pool[int(i)]] = -float(rng.uniform(0.2, 1.0))
+    row_mass = np.zeros(dim)
+    for idx, v in entries.items():
+        row_mass[idx[0]] += abs(v)
+    for i in range(dim):
+        entries[(i,) * order] = 1.0 + row_mass[i]
+    return Tensor(order, dim, entries), rng.uniform(0.0, 1.0, dim)
+
+
 class TestGenerator:
 
     def test_deterministic(self):
@@ -377,6 +397,43 @@ class TestGenerator:
         monkeypatch.setattr(classify, "is_ks_tensor", lambda tensor: refuted)
         with pytest.raises(RuntimeError, match="failed certification"):
             generate_ks_instance(3, 3, density=0.3, seed=5)
+
+    @pytest.mark.parametrize("order, dim", [
+        (2, 1), (2, 2), (2, 9), (2, 141), (3, 1), (3, 4), (3, 27),
+        (4, 3), (4, 8), (5, 2), (5, 7), (6, 2), (6, 5)])
+    def test_matches_pool_enumeration(self, order, dim):
+        for density in (0.01, 0.3, 1.0):
+            for seed in (0, 101):
+                problem = generate_ks_instance(order, dim, density=density, seed=seed)
+                tensor, q = pool_instance(order, dim, density, seed)
+                assert problem.tensor == tensor
+                assert np.array_equal(problem.q, q)
+
+    @pytest.mark.parametrize("args, kwargs, match", [
+        ((3, 2), dict(density=0.0), "density"),
+        ((3, 2), dict(density=-1.0), "density"),
+        ((3, 2), dict(density=1.5), "density"),
+        ((3, 2), dict(density=float("nan")), "density"),
+        ((1, 2), {}, "order >= 2"),
+        ((3, 0), {}, "dim >= 1"),
+        ((10, 9), {}, "MAX_ENTRIES"),
+        ((5, 8), dict(density=1.5), "density"),
+        ((20, 9), dict(density=1e-16), "int64"),
+        ((63, 1), {}, "int64"),
+    ])
+    def test_rejects_before_drawing(self, monkeypatch, args, kwargs, match):
+        def no_draw(*a, **k):
+            raise AssertionError("drew from the generator")
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        with pytest.raises(ValueError, match=match):
+            generate_ks_instance(*args, **kwargs)
+
+    def test_entry_cap_is_inclusive(self, monkeypatch):
+        # order 3 dim 4: 60 off-diagonal tuples plus 4 diagonal entries
+        monkeypatch.setattr(problems, "MAX_ENTRIES", 30)
+        assert generate_ks_instance(3, 4, density=26 / 60).tensor.nnz == 30
+        with pytest.raises(ValueError, match="31 entries"):
+            generate_ks_instance(3, 4, density=27 / 60)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
