@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import Tensor, identity, newton_on_support, spectral_radius
+from .tensors import Tensor, _spectral_bracket, identity, newton_on_support
 
 __all__ = [
     "Verdict", "Certificate", "KSDecomposition",
@@ -177,21 +177,23 @@ def _m_check(tensor):
     x = ones = np.ones(tensor.dim)
     ax = tensor.contract(ones)
     if not np.all(ax > 0):
-        x, ax = newton_on_support(tensor, ones, np.arange(tensor.dim), ones) or (None, None)
+        x, ax = newton_on_support(tensor, ones, np.arange(tensor.dim), ones, ax) or (None, None)
     if x is not None and np.all(x > 0) and np.all(ax > 0):
         return Certificate(Verdict.CERTIFIED_TRUE, "positive_vector", witness=x,
                            detail="x > 0 with A x^(m-1) > 0 found")
     s = float(np.max(diag))
     bump = identity(tensor.order, tensor.dim).scaled(s)
     b = bump + tensor.scaled(-1.0)
-    bracket = spectral_radius(b)
+    # every bracket is certified and the running one only narrows, so the
+    # first one that leaves s outside gives the converged bracket's verdict
+    bracket = _spectral_bracket(b, lambda lo, hi: hi < s or lo >= s)
     ev = {"s": s, "bracket": bracket}
     if s > bracket.hi:
         return Certificate(Verdict.CERTIFIED_TRUE, "spectral_bracket", evidence=ev,
-                           detail=f"s = {s} > rho(s*I - A) <= {bracket.hi}")
+                           detail=f"rho(s*I - A) <= {bracket.hi} < s = {s}")
     if s <= bracket.lo:
         return Certificate(Verdict.CERTIFIED_FALSE, "spectral_bracket", evidence=ev,
-                           detail=f"s = {s} <= rho(s*I - A) >= {bracket.lo}")
+                           detail=f"s = {s} <= {bracket.lo} <= rho(s*I - A)")
     return Certificate(Verdict.UNKNOWN, "spectral_bracket", evidence=ev,
                        detail=f"spectral bracket [{bracket.lo}, {bracket.hi}] straddles s = {s}")
 

@@ -11,10 +11,11 @@ whose KKT system (with equality multipliers mu and bound multipliers lam)
     h + Aeq d = 0
     lam >= 0,  g + d >= 0,  lam'(g + d) = 0
 
-is reformulated with the CHKS smoothing function
+is reformulated with the smoothed Fischer-Burmeister function
 
     phi(eps, a, b) = a + b - sqrt(a^2 + b^2 + 2 eps^2)
 
+(named `chks` here, although CHKS takes the root of (a - b)^2 + 4 eps^2),
 which vanishes at eps = 0 exactly on the complementarity set.  Stacking
 z = (eps, d, mu, lam) gives the square residual
 
@@ -26,6 +27,7 @@ with zbar = (eps0, 0, 0, 0) and beta(z) = gamma ||H(z)|| min(1, ||H(z)||).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -81,6 +83,10 @@ class QP:
         """Mask of the all-zero rows of Aeq: absent equality constraints."""
         return ~np.any(self.Aeq, axis=1)
 
+    @cached_property
+    def _any_absent(self):
+        return bool(self.absent.any())
+
 
 @dataclass(frozen=True)
 class QPResult:
@@ -97,8 +103,14 @@ class QPResult:
 
 
 def chks(eps, a, b):
-    """Smoothed complementarity: zero at eps=0 iff a,b >= 0 and a*b = 0."""
-    return a + b - np.sqrt(a * a + b * b + 2.0 * eps * eps)
+    """Smoothed Fischer-Burmeister phi: zero at eps=0 iff a,b >= 0 and a*b = 0."""
+    return _chks_parts(eps, a, b)[0]
+
+
+def _chks_parts(eps, a, b):
+    """chks(eps, a, b) and its root r = sqrt(a^2 + b^2 + 2 eps^2)."""
+    r = np.sqrt(a * a + b * b + 2.0 * eps * eps)
+    return a + b - r, r
 
 
 def _split(z, n):
@@ -114,16 +126,25 @@ def kkt_residual(qp, z):
     which pins the dangling multiplier and keeps H' nonsingular without
     affecting d or lam.
     """
+    return _residual_parts(qp, z)[0]
+
+
+def _residual_parts(qp, z):
+    """kkt_residual(qp, z), with the t = g + d and the root
+    r = sqrt(t^2 + lam^2 + 2 eps^2) of its complementarity block, which
+    H'(z) reuses."""
     eps, d, mu, lam = _split(z, qp.n)
     eq = qp.h + d @ qp.Aeq.T
-    if qp.absent.any():
+    if qp._any_absent:
         eq = eq + np.where(qp.absent, mu, 0.0)
+    t = qp.g + d
+    comp, r = _chks_parts(eps, t, lam)
     return np.concatenate([
         eps,
         d @ qp.B.T - mu @ qp.Aeq - lam + qp.c,
         eq,
-        chks(eps, qp.g + d, lam),
-    ], axis=-1)
+        comp,
+    ], axis=-1), t, r
 
 
 def kkt_jacobian(qp, z):
@@ -135,13 +156,18 @@ def kkt_jacobian(qp, z):
     eps = lam_i = t_i = 0) the convention D1 = D2 = I, v_i = 0 is used.
     An absent equality row i carries a 1 at column mu_i, as in kkt_residual.
     """
-    return _fill_jacobian(_jacobian_frame(qp), qp, z)
+    _h, t, r = _residual_parts(qp, z)
+    return _fill_jacobian(*_jacobian_frame(qp), z, t, r)
 
 
 def _jacobian_frame(qp):
-    """H'(z) with the entries that depend on z (v, D2, D1) left at zero."""
+    """H'(z) with the entries that depend on z (v, D2, D1) left at zero, and
+    the flat positions of those entries: v, then D2, then D1."""
     n = qp.n
     size = 1 + 3 * n
+    k = np.arange(n)
+    rows = (2 * n + 1 + k) * size
+    index = np.concatenate([rows, rows + 1 + k, rows + 2 * n + 1 + k])
     jac = np.zeros((size, size))
     jac[0, 0] = 1.0
     rows = slice(1, n + 1)
@@ -151,27 +177,29 @@ def _jacobian_frame(qp):
     rows = slice(n + 1, 2 * n + 1)
     jac[rows, 1:n + 1] = qp.Aeq
     jac[rows, n + 1:2 * n + 1] = np.diag(qp.absent.astype(float))
-    return jac
+    return jac, index
 
 
-def _fill_jacobian(jac, qp, z):
+def _fill_jacobian(jac, index, z, t, r):
     """Write v, D2 and D1 at z into a frame from `_jacobian_frame`, in place.
 
-    Returns the frame and the number of kink rows.  Every entry written is
-    overwritten by the next call, so one frame serves a whole solve.
+    index is the frame's index of positions, and t and r are those
+    `_residual_parts` computed at z.  Returns the frame and the number of
+    kink rows.  Every entry written is overwritten by the next call, so one
+    frame serves a whole solve.
     """
-    n = qp.n
-    eps, d, mu, lam = _split(z, n)
-    t = qp.g + d
-    r = np.sqrt(lam * lam + t * t + 2.0 * eps * eps)
+    n = t.shape[-1]
+    eps, lam = z[:1], z[2 * n + 1:]
     kink = r == 0.0
     nkink = int(np.count_nonzero(kink))
-    safe = np.where(kink, 1.0, r)
-    k = np.arange(n)
-    rows = 2 * n + 1 + k
-    jac[rows, 0] = np.where(kink, 0.0, -2.0 * eps / safe)
-    jac[rows, 1 + k] = np.where(kink, 1.0, 1.0 - t / safe)
-    jac[rows, rows] = np.where(kink, 1.0, 1.0 - lam / safe)
+    if nkink:
+        safe = np.where(kink, 1.0, r)
+        values = [np.where(kink, 0.0, -2.0 * eps / safe),
+                  np.where(kink, 1.0, 1.0 - t / safe),
+                  np.where(kink, 1.0, 1.0 - lam / safe)]
+    else:
+        values = [-2.0 * eps / r, 1.0 - t / r, 1.0 - lam / r]
+    jac.put(index, np.concatenate(values))
     return jac, nkink
 
 
@@ -220,8 +248,9 @@ def solve_qp(qp, start=None):
         z[n + 1:2 * n + 1] *= scale
     zbar = np.zeros(1 + 3 * n)
     zbar[0] = EPS0
-    h_val = kkt_residual(inner, z)
-    h_norm = float(np.linalg.norm(h_val))
+    h_val, t, r = _residual_parts(inner, z)
+    # sqrt(v @ v) is what np.linalg.norm computes for a vector, bit for bit
+    h_norm = math.sqrt(h_val @ h_val)
     # residual target relative to the starting residual, never to the iterate:
     # an infeasible subproblem drives multipliers to infinity while ||H||
     # plateaus, which an iterate-scaled test would misread as convergence
@@ -233,7 +262,7 @@ def solve_qp(qp, start=None):
     decrease = SIGMA * (1.0 - gamma * EPS0)
     alphas = RHO ** np.arange(1, MAX_BACKTRACKS + 1)
     history = []
-    frame = _jacobian_frame(inner)
+    frame, index = _jacobian_frame(inner)
     for iterations in range(1, MAX_NEWTON_STEPS + 1):
         if h_norm <= stop:
             status = CONVERGED
@@ -242,27 +271,27 @@ def solve_qp(qp, start=None):
         history.append(h_norm)
         if len(history) > 12 and h_norm > 0.9 * history[-13]:
             break  # crawling residual: an infeasible or degenerate subproblem
-        jac, _ = _fill_jacobian(frame, inner, z)
+        jac, _ = _fill_jacobian(frame, index, z, t, r)
         rhs = perturbation(h_norm, gamma) * zbar - h_val
         try:
             dz = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError:
             dz = None
-        if dz is None or not np.all(np.isfinite(dz)):
+        if dz is None or not np.isfinite(dz).all():
             size = jac.shape[0]
             try:
                 dz = np.linalg.solve(jac + 1e-10 * np.eye(size), rhs)
             except np.linalg.LinAlgError:
                 dz = None
-            if dz is None or not np.all(np.isfinite(dz)):
+            if dz is None or not np.isfinite(dz).all():
                 status = SINGULAR
                 break
         # full step first, then every backtracked candidate in one batch
         trial = z + dz
-        trial_val = kkt_residual(inner, trial)
-        trial_norm = float(np.linalg.norm(trial_val))
+        trial_val, trial_t, trial_r = _residual_parts(inner, trial)
+        trial_norm = math.sqrt(trial_val @ trial_val)
         if trial_norm <= (1.0 - decrease) * h_norm:
-            z, h_val, h_norm = trial, trial_val, trial_norm
+            z, h_val, h_norm, t, r = trial, trial_val, trial_norm, trial_t, trial_r
             continue
         trials = z + alphas[:, None] * dz
         norms = np.linalg.norm(kkt_residual(inner, trials), axis=1)
@@ -271,8 +300,8 @@ def solve_qp(qp, start=None):
             break  # stalled line search: report as max_iter with best iterate
         i = int(passing[0])
         z = trials[i]
-        h_val = kkt_residual(inner, z)
-        h_norm = float(np.linalg.norm(h_val))
+        h_val, t, r = _residual_parts(inner, z)
+        h_norm = math.sqrt(h_val @ h_val)
     if status == MAX_ITER and h_norm <= stop:
         status = CONVERGED
     _eps, d, mu, lam = _split(z, n)

@@ -216,14 +216,14 @@ def _verification(x, w):
 
 
 def _first_verified(problem, candidates, eps2):
-    """(x, A x^(m-1) - q) at the Newton point of the first (support, start)
-    pair that verifies, or None.
+    """(x, A x^(m-1) - q) at the Newton point of the first (support, start,
+    A x^(m-1) at the start or None) candidate that verifies, or None.
 
     Verified: `verify_solution` passes on all n rows of both systems at
     eps2, judged on the map value Newton returns with the point.
     """
-    for support, x0 in candidates:
-        found = newton_on_support(problem.tensor, problem.q, support, x0)
+    for support, x0, ax0 in candidates:
+        found = newton_on_support(problem.tensor, problem.q, support, x0, ax0)
         if found is None:
             continue
         x, h = found[0], found[1] - problem.q
@@ -234,12 +234,12 @@ def _first_verified(problem, candidates, eps2):
 
 
 def _drop_one(support, x0):
-    """(support minus i, x0) for each i in support, smallest x0_i first."""
+    """(support minus i, x0, None) for each i in support, smallest x0_i first."""
     for i in support[np.argsort(x0[support], kind="stable")]:
-        yield support[support != i], x0
+        yield support[support != i], x0, None
 
 
-def _support_solution(problem, x, eps2):
+def _support_solution(problem, x, ax, eps2):
     """Sparsest verified point found by Newton solves on candidate supports.
 
     The SQP iterate tells which coordinates are zero, but it can stop short:
@@ -249,15 +249,17 @@ def _support_solution(problem, x, eps2):
     candidate that verifies wins: the support of x, that support minus one
     coordinate, every coordinate from e, and all but one coordinate from e.
     Coordinates are then dropped one at a time while a verified point
-    remains.  Returns (x, A x^(m-1) - q) at that point, or None when no
-    candidate verifies.
+    remains.  ax = A x^(m-1) starts the first Newton solve when x is
+    already zero off its support.  Returns (x, A x^(m-1) - q) at that point,
+    or None when no candidate verifies.
     """
     ones = np.ones(problem.dim)
     support = np.flatnonzero(x > SPARSITY_TOL)
     everything = np.arange(problem.dim)
     found = _first_verified(problem, itertools.chain(
-        [(support, x)], _drop_one(support, x),
-        [(everything, ones)], _drop_one(everything, ones)), eps2)
+        [(support, x, ax if np.count_nonzero(x) == support.size else None)],
+        _drop_one(support, x),
+        [(everything, ones, None)], _drop_one(everything, ones)), eps2)
     best = None
     while found is not None:
         best = found
@@ -288,9 +290,10 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
     iterations = 0
     step_norm = np.inf
     inexact_qps = 0
-    # h and jac always belong to the current x: each accepted step carries
-    # the values its line search and BFGS update computed
-    h = constraint_value(problem, x)
+    # ax = A x^(m-1), h and jac always belong to the current x: each accepted
+    # step carries the values its line search and BFGS update computed
+    ax = problem.tensor.contract(x)
+    h = ax - problem.q
     jac = problem.tensor.jacobian(x)
 
     for k in range(cfg.max_iter):
@@ -333,7 +336,8 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             x_new = x + alpha * d
             # a step lost to rounding passes the test without moving x
             if not np.array_equal(x_new, x):
-                h_new = constraint_value(problem, x_new)
+                ax_new = problem.tensor.contract(x_new)
+                h_new = ax_new - problem.q
                 if merit(x_new, h_new, sigma) <= phi0 + ETA * alpha * slope:
                     break
             alpha *= RHO
@@ -353,13 +357,13 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
                 merit=merit(x_new, h_new, sigma),
                 infeasibility=infeasibility(x_new, h_new),
                 qp_iterations=qp_res.iterations))
-        x, h, jac = x_new, h_new, jac_new
+        x, ax, h, jac = x_new, ax_new, h_new, jac_new
 
     if inexact_qps > 1:
         notes.append(f"{inexact_qps} of {iterations} QP subproblems solved "
                      "inexactly")
 
-    found = _support_solution(problem, x, cfg.eps2)
+    found = _support_solution(problem, x, ax, cfg.eps2)
     if found is not None:
         if status != KKT:
             notes.append(f"{status} run completed by a Newton solve on "

@@ -257,7 +257,7 @@ def identity(order, dim):
     return Tensor(order, dim, {(i,) * order: 1.0 for i in range(dim)})
 
 
-def newton_on_support(tensor, rhs, support, x0):
+def newton_on_support(tensor, rhs, support, x0, ax0=None):
     """Damped Newton on (A x^{m-1})_S = rhs_S with x = 0 off S and x_S > 0.
 
     S is the index array `support`; x0 gives the start on S and must be
@@ -266,11 +266,13 @@ def newton_on_support(tensor, rhs, support, x0):
     The iteration ends after 60 steps, or sooner when that residual reaches
     roundoff or no halving helps.  Returns the last iterate x with the full
     A x^{m-1} there, or None when the Jacobian block on S is singular or
-    the step is not finite; callers verify the point.
+    the step is not finite; callers verify the point.  A caller that holds
+    A x^{m-1} at the start point (x0 on S, 0 off S) passes it as ax0, and it
+    is not contracted again.
     """
     x = np.zeros(tensor.dim)
     x[support] = x0[support]
-    ax = tensor.contract(x)
+    ax = tensor.contract(x) if ax0 is None else ax0
     if support.size == 0:
         return x, ax
     rhs = rhs[support]
@@ -321,12 +323,14 @@ class SpectralBracket:
 POWER_MAX_ITER = 10000  # power iterations per run, before and after the shift
 
 
-def _power_iteration(tensor, tol):
+def _power_iteration(tensor, stop):
     """Collatz-bracketed power iteration for a nonnegative tensor.
 
     For every positive x, min_i (Bx^{m-1})_i / x_i^{m-1} <= rho(B) <= max_i of
     the same ratios, so the running intersection of the per-iterate brackets
-    stays valid. Returns (value, lo, hi, iterations, converged).
+    stays valid.  Returns (lo, hi, iterations, stopped): stopped is True when
+    stop(lo, hi) ended the run, False when the iterate left the orthant or
+    POWER_MAX_ITER ran out.
     """
     n, m = tensor.dim, tensor.order
     x = np.ones(n)
@@ -337,44 +341,64 @@ def _power_iteration(tensor, tol):
         if np.any(denom <= 0.0):
             # a coordinate underflowed: same exit as leaving the orthant,
             # the bracket collected so far stays valid
-            return 0.5 * (lo + hi), lo, hi, k, False
+            return lo, hi, k, False
         ratios = y / denom
         lo = max(lo, float(ratios.min()))
         hi = min(hi, float(ratios.max()))
         if hi < lo:  # brackets valid up to roundoff; collapse
             lo = hi = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return 0.5 * (lo + hi), lo, hi, k, True
+        if stop(lo, hi):
+            return lo, hi, k, True
         if np.any(y <= 0.0):
             # reducible tensor: the iterate would leave the positive orthant
-            return 0.5 * (lo + hi), lo, hi, k, False
+            return lo, hi, k, False
         x = y ** (1.0 / (m - 1))
         x /= x.max()
-    return 0.5 * (lo + hi), lo, hi, POWER_MAX_ITER, False
+    return lo, hi, POWER_MAX_ITER, False
 
 
 def spectral_radius(tensor, tol=1e-10):
     """Spectral radius of a nonnegative tensor, with certified bounds.
 
-    When the plain iteration stalls on a reducible tensor, it is rerun on the
-    diagonally shifted tensor B + s0*I (s0 = 1e-8 * max|b|); the shift moves
-    every H-eigenvalue by exactly s0, and the returned bracket is widened by
-    s0 on each side to stay safe.
+    The bracket is iterated until its gap is at most tol.  When the plain
+    iteration stalls on a reducible tensor, it is rerun on the diagonally
+    shifted tensor B + s0*I (s0 = 1e-8 * max|b|); the shift moves every
+    H-eigenvalue by exactly s0, and the returned bracket is widened by s0 on
+    each side to stay safe.
+    """
+    return _spectral_bracket(tensor, lambda lo, hi: False, tol)
+
+
+def _spectral_bracket(tensor, decides, tol=1e-10):
+    """`spectral_radius`, ended at the first bracket [lo, hi] of rho(tensor)
+    for which decides(lo, hi) holds.
+
+    Every bracket is certified, so a caller that only compares rho with a
+    threshold can stop as soon as the threshold lies outside one.  In the
+    shifted rerun, decides sees the bracket this function would return at
+    that iterate.
     """
     if tensor.nnz and tensor.min_value() < 0.0:
         raise ValueError("spectral_radius requires a nonnegative tensor")
-    value, lo, hi, iters, converged = _power_iteration(tensor, tol)
-    shifted = False
-    if not converged:
-        s0 = 1e-8 * tensor.max_abs()
-        if s0 > 0.0:
-            shifted = True
-            bumped = tensor + identity(tensor.order, tensor.dim).scaled(s0)
-            v2, lo2, hi2, it2, conv2 = _power_iteration(bumped, tol)
-            lo = max(lo, max(lo2 - 2.0 * s0, 0.0))
-            hi = min(hi, hi2)
-            value, iters, converged = v2 - s0, iters + it2, conv2
+    lo, hi, iters, stopped = _power_iteration(
+        tensor, lambda lo, hi: hi - lo <= tol or decides(lo, hi))
+    value, converged, shifted = 0.5 * (lo + hi), hi - lo <= tol, False
+    s0 = 0.0 if stopped else 1e-8 * tensor.max_abs()
+    if s0 > 0.0:
+        plain = lo, hi
+
+        def unshift(lo2, hi2):
+            lo = max(plain[0], max(lo2 - 2.0 * s0, 0.0))
+            hi = min(plain[1], hi2)
             if hi < lo:
-                lo = hi = value
+                lo = hi = 0.5 * (lo2 + hi2) - s0
+            return lo, hi
+
+        bumped = tensor + identity(tensor.order, tensor.dim).scaled(s0)
+        lo2, hi2, it2, _ = _power_iteration(
+            bumped, lambda lo2, hi2: hi2 - lo2 <= tol or decides(*unshift(lo2, hi2)))
+        lo, hi = unshift(lo2, hi2)
+        value, iters = 0.5 * (lo2 + hi2) - s0, iters + it2
+        converged, shifted = hi2 - lo2 <= tol, True
     return SpectralBracket(value=value, lo=lo, hi=hi, iterations=iters,
                            converged=converged, shifted=shifted)

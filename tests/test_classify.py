@@ -11,9 +11,10 @@ import pytest
 from tcpsolve import (BUILTIN_NAMES, TCPProblem, Tensor, Verdict, builtin,
                       classify, generate_ks_instance, is_ks_tensor, is_nonnegative,
                       is_nonsingular_m_tensor, is_p_tensor, is_z_tensor,
-                      ks_split, satisfies_condition2, z_function_check)
-from tcpsolve.classify import (OFFDIAG_TOL, _p_probes, _p_sample, _stack_rows,
-                               positive_witness_ok)
+                      ks_split, satisfies_condition2, spectral_radius,
+                      z_function_check)
+from tcpsolve.classify import (OFFDIAG_TOL, _m_check, _p_probes, _p_sample,
+                               _stack_rows, positive_witness_ok)
 from tcpsolve.tensors import identity
 
 
@@ -114,6 +115,13 @@ LATE_P_WITNESS = Tensor(3, 2, {(0, 0, 0): 1.0, (0, 0, 1): -0.5,
                                (1, 1, 1): 1.0, (1, 1, 0): -4.0})
 # dF_0/dx1 = x0 - 20 x1 is positive for about one uniform sample in forty
 LATE_Z_WITNESS = Tensor(3, 2, {(0, 1, 0): 1.0, (0, 1, 1): -10.0, (1, 1, 1): 1.0})
+
+
+# (seed, diagonal strength) of random Z-tensors for the M-check; the last
+# two have a shifted spectral bracket that straddles s, so their verdict is
+# unknown
+RANDOM_Z_CASES = ([(seed, strength) for seed in range(12) for strength in (2.0, 1.0, 0.3)]
+                  + [(89, 0.3), (92, 0.3)])
 
 
 class TestEntryScans:
@@ -278,6 +286,52 @@ class TestMTensor:
         is_nonsingular_m_tensor(builtin_tensor(name))
         for root, done in roots:
             assert root not in contracted[done:]
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_e_contracted_once(self, monkeypatch, name):
+        # when e is no witness, Newton starts from the A e^(m-1) that the
+        # witness test has just computed
+        tensor = builtin_tensor(name)
+        ones = np.ones(tensor.dim).tobytes()
+        contracted = []
+        real_contract = Tensor.contract
+
+        def recorded(t, x):
+            if t is tensor:
+                contracted.append(np.asarray(x).tobytes())
+            return real_contract(t, x)
+
+        monkeypatch.setattr(Tensor, "contract", recorded)
+        is_nonsingular_m_tensor(tensor)
+        assert contracted.count(ones) <= 1
+
+    @pytest.mark.parametrize("tensor", [ks_split(builtin_tensor(name)).W
+                                        for name in BUILTIN_NAMES]
+                             + [random_z_tensor(np.random.default_rng(seed),
+                                                3 + seed % 2, 2 + seed % 3, strength)
+                                for seed, strength in RANDOM_Z_CASES])
+    def test_verdict_of_the_converged_bracket(self, tensor):
+        # the M-check stops at the first bracket that leaves s outside; its
+        # verdict is the one that comparing s with the fully converged
+        # bracket of rho(s*I - A) gives
+        s = float(np.max(tensor.diagonal()))
+        b = identity(tensor.order, tensor.dim).scaled(s) + tensor.scaled(-1.0)
+        full = spectral_radius(b)
+        expected = (Verdict.CERTIFIED_TRUE if s > full.hi else
+                    Verdict.CERTIFIED_FALSE if s <= full.lo else Verdict.UNKNOWN)
+        assert _m_check(tensor).verdict is expected
+
+    @pytest.mark.parametrize("name", ["ex5_1", "ex5_3", "ex3_1"])
+    def test_spectral_route_stops_early(self, name):
+        # these W M-checks reach the spectral route, where converging the
+        # bracket takes 42, 1025 and 615 power iterations; s leaves the
+        # bracket within 3
+        cert = _m_check(ks_split(builtin_tensor(name)).W)
+        assert cert.method == "spectral_bracket"
+        assert cert.verdict is Verdict.CERTIFIED_TRUE
+        bracket = cert.evidence["bracket"]
+        assert bracket.iterations <= 3
+        assert bracket.hi < cert.evidence["s"]
 
     def test_non_z_tensor_rejected(self):
         cert = is_nonsingular_m_tensor(builtin("ex2_1"))

@@ -12,9 +12,10 @@ import itertools
 import numpy as np
 import pytest
 
-from tcpsolve import QP, solve_qp
-from tcpsolve.qp import (_fill_jacobian, _jacobian_frame, chks, default_start,
-                         kkt_jacobian, kkt_residual, perturbation)
+from tcpsolve import QP, builtin, solve_qp, sqp, sqp_solve
+from tcpsolve.qp import (DROP_TOL, EPS0, GAMMA, MAX_BACKTRACKS, MAX_NEWTON_STEPS, RHO,
+                         SIGMA, TOL, _fill_jacobian, _jacobian_frame, _residual_parts,
+                         chks, default_start, kkt_jacobian, kkt_residual, perturbation)
 
 
 def random_feasible_qp(rng, n):
@@ -85,6 +86,121 @@ def active_set_oracle(qp, tol=1e-9):
         if best is None or obj < best[1] - 1e-12:
             best = (d, obj)
     return None if best is None else best[0]
+
+
+def reference_residual(qp, z):
+    """H(z) as the loop of `reference_solve_qp` computed it."""
+    n = qp.n
+    eps, d, mu, lam = z[..., :1], z[..., 1:n + 1], z[..., n + 1:2 * n + 1], z[..., 2 * n + 1:]
+    eq = qp.h + d @ qp.Aeq.T
+    if qp.absent.any():
+        eq = eq + np.where(qp.absent, mu, 0.0)
+    t = qp.g + d
+    return np.concatenate([
+        eps,
+        d @ qp.B.T - mu @ qp.Aeq - lam + qp.c,
+        eq,
+        t + lam - np.sqrt(t * t + lam * lam + 2.0 * eps * eps),
+    ], axis=-1)
+
+
+def reference_jacobian(qp, z):
+    """H'(z) assembled densely from its blocks, kink convention included."""
+    n = qp.n
+    eps, d, lam = z[:1], z[1:n + 1], z[2 * n + 1:]
+    t = qp.g + d
+    r = np.sqrt(lam * lam + t * t + 2.0 * eps * eps)
+    kink = r == 0.0
+    safe = np.where(kink, 1.0, r)
+    zero, eye = np.zeros((n, n)), np.eye(n)
+    return np.block([
+        [np.ones((1, 1)), np.zeros((1, 3 * n))],
+        [np.zeros((n, 1)), qp.B, -qp.Aeq.T, -eye],
+        [np.zeros((n, 1)), qp.Aeq, np.diag(qp.absent.astype(float)), zero],
+        [np.where(kink, 0.0, -2.0 * eps / safe)[:, None],
+         np.diag(np.where(kink, 1.0, 1.0 - t / safe)), zero,
+         np.diag(np.where(kink, 1.0, 1.0 - lam / safe))],
+    ])
+
+
+def reference_solve_qp(qp, start=None):
+    """The smoothing Newton loop one step at a time: a fresh dense H'(z),
+    np.linalg.solve, np.linalg.norm, and the batched backtracking.
+    `solve_qp` must return the same bits."""
+    n = qp.n
+    row_norm = np.max(np.abs(qp.Aeq), axis=1)
+    vacuous = (row_norm <= DROP_TOL) & (np.abs(qp.h) <= DROP_TOL)
+    aeq = np.where(vacuous[:, None], 0.0, qp.Aeq)
+    h = np.where(vacuous, 0.0, qp.h)
+    scale = np.where(vacuous | (row_norm <= 1e-12), 1.0, row_norm)
+    inner = QP(B=qp.B, c=qp.c, Aeq=aeq / scale[:, None], h=h / scale, g=qp.g)
+    if start is None:
+        z = default_start(inner)
+    else:
+        z = np.asarray(start, dtype=float).copy()
+        z[n + 1:2 * n + 1] *= scale
+    zbar = np.zeros(1 + 3 * n)
+    zbar[0] = EPS0
+    h_val = reference_residual(inner, z)
+    h_norm = float(np.linalg.norm(h_val))
+    stop = TOL * max(1.0, h_norm)
+    gamma = min(GAMMA, 0.9 / max(EPS0, h_norm, 1e-16))
+    status = "max_iter"
+    iterations = 0
+    decrease = SIGMA * (1.0 - gamma * EPS0)
+    alphas = RHO ** np.arange(1, MAX_BACKTRACKS + 1)
+    history = []
+    for iterations in range(1, MAX_NEWTON_STEPS + 1):
+        if h_norm <= stop:
+            status = "converged"
+            iterations -= 1
+            break
+        history.append(h_norm)
+        if len(history) > 12 and h_norm > 0.9 * history[-13]:
+            break
+        jac = reference_jacobian(inner, z)
+        rhs = perturbation(h_norm, gamma) * zbar - h_val
+        try:
+            dz = np.linalg.solve(jac, rhs)
+        except np.linalg.LinAlgError:
+            dz = None
+        if dz is None or not np.all(np.isfinite(dz)):
+            try:
+                dz = np.linalg.solve(jac + 1e-10 * np.eye(jac.shape[0]), rhs)
+            except np.linalg.LinAlgError:
+                dz = None
+            if dz is None or not np.all(np.isfinite(dz)):
+                status = "singular_jacobian"
+                break
+        trial = z + dz
+        trial_val = reference_residual(inner, trial)
+        trial_norm = float(np.linalg.norm(trial_val))
+        if trial_norm <= (1.0 - decrease) * h_norm:
+            z, h_val, h_norm = trial, trial_val, trial_norm
+            continue
+        trials = z + alphas[:, None] * dz
+        norms = np.linalg.norm(reference_residual(inner, trials), axis=1)
+        passing = np.flatnonzero(norms <= (1.0 - decrease * alphas) * h_norm)
+        if passing.size == 0:
+            break
+        z = trials[int(passing[0])]
+        h_val = reference_residual(inner, z)
+        h_norm = float(np.linalg.norm(h_val))
+    if status == "max_iter" and h_norm <= stop:
+        status = "converged"
+    d, mu, lam = z[1:n + 1], z[n + 1:2 * n + 1], z[2 * n + 1:]
+    return d, mu / scale, lam, status, iterations, h_norm
+
+
+def assert_same_bits(qp, start=None):
+    res = solve_qp(qp, start=start)
+    d, mu, lam, status, iterations, residual = reference_solve_qp(qp, start=start)
+    assert res.d.tobytes() == d.tobytes()
+    assert res.mu.tobytes() == mu.tobytes()
+    assert res.lam.tobytes() == lam.tobytes()
+    assert (res.status, res.iterations) == (status, iterations)
+    assert np.float64(res.residual).tobytes() == np.float64(residual).tobytes()
+    return res
 
 
 class TestSmoothedComplementarity:
@@ -242,9 +358,10 @@ class TestJacobian:
         assert nkink == 1
         np.testing.assert_array_equal(jac1, first)
         np.testing.assert_array_equal(kkt_jacobian(qp, z1)[0], first)
-        frame = _jacobian_frame(qp)
+        frame, index = _jacobian_frame(qp)
         for z, fresh in ((z1, first), (z2, jac2), (z1, first)):
-            np.testing.assert_array_equal(_fill_jacobian(frame, qp, z)[0], fresh)
+            _h, t, r = _residual_parts(qp, z)
+            np.testing.assert_array_equal(_fill_jacobian(frame, index, z, t, r)[0], fresh)
 
 
 class TestSolveQP:
@@ -336,6 +453,51 @@ class TestSolveQP:
         res = solve_qp(qp)
         assert not res.converged
         assert res.status in ("max_iter", "singular_jacobian")
+
+    def test_random_qps_match_reference_bits(self):
+        rng = np.random.default_rng(39)
+        for _ in range(60):
+            qp = random_feasible_qp(rng, int(rng.integers(1, 6)))
+            start = default_start(qp)
+            start[1:] += rng.standard_normal(start.size - 1)
+            assert_same_bits(qp)
+            assert_same_bits(qp, start)
+            # eps = lam_0 = t_0 = 0: the first step fills row 0 on the kink
+            start[0] = 0.0
+            start[1] = -qp.g[0]
+            start[2 * qp.n + 1] = 0.0
+            assert_same_bits(qp, start)
+
+    def test_random_qps_with_absent_rows_match_reference_bits(self):
+        rng = np.random.default_rng(40)
+        for _ in range(40):
+            qp = random_feasible_qp(rng, int(rng.integers(2, 6)))
+            absent = rng.random(qp.n) < 0.5
+            absent[0] = True
+            qp = QP(B=qp.B, c=qp.c, Aeq=np.where(absent[:, None], 0.0, qp.Aeq),
+                    h=qp.h, g=qp.g)
+            assert qp.absent.any()
+            assert_same_bits(qp)
+
+    @pytest.mark.parametrize("name, starts", [("ex5_1", range(4)), ("ex5_4", range(3))])
+    def test_sqp_subproblems_match_reference_bits(self, monkeypatch, name, starts):
+        # the subproblems SQP hands in: warm starts, vanishing rows, and
+        # infeasible linearizations that stop inexact
+        recorded = []
+
+        def record(sub, start=None, _real=sqp.solve_qp):
+            recorded.append((sub, start))
+            return _real(sub, start=start)
+
+        monkeypatch.setattr(sqp, "solve_qp", record)
+        problem = builtin(name)
+        for k in starts:
+            rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(k,)))
+            sqp_solve(problem, *(rng.uniform(0.0, 1.0, problem.dim) for _ in range(3)))
+        statuses = {assert_same_bits(sub, start).status for sub, start in recorded}
+        assert len(recorded) > 20
+        if name == "ex5_4":
+            assert statuses == {"converged", "max_iter"}
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -331,6 +331,35 @@ class TestSQPSolve:
         for at, x in returned:
             assert x not in seen["contract"][at:]
 
+    @pytest.mark.parametrize("name", ["ex5_1", "ex5_5"])
+    def test_newton_start_not_contracted_again(self, monkeypatch, name):
+        # when the loop's final x is zero off its support, the first Newton
+        # solve starts from the loop's own A x^(m-1), bit for bit, and does
+        # not contract x again
+        problem = builtin(name)
+        seen = record_evaluations(monkeypatch)
+        given = []   # (contractions so far, start point, ax0) per Newton call
+
+        def newton(tensor, rhs, support, x0, ax0=None, _real=sqp.newton_on_support):
+            if ax0 is not None:
+                start = np.zeros(problem.dim)
+                start[support] = x0[support]
+                given.append((len(seen["contract"]), start, ax0.copy()))
+            return _real(tensor, rhs, support, x0, ax0)
+
+        monkeypatch.setattr(sqp, "newton_on_support", newton)
+        used = 0
+        for k in range(20):
+            seen["contract"].clear()
+            given.clear()
+            sqp_solve(problem, *multistart_start(problem, k))
+            for at, start, ax0 in given:
+                assert start.tobytes() in seen["contract"][:at]
+                assert start.tobytes() not in seen["contract"][at:]
+                assert ax0.tobytes() == problem.tensor.contract(start).tobytes()
+            used += len(given)
+        assert used > 0
+
     @pytest.mark.parametrize("name, k", [("ex5_5", 6), ("ex5_5", 7),
                                          ("ex5_5", 19), ("ex5_3", 19)])
     def test_stuck_start_ends_at_once(self, name, k):
@@ -391,7 +420,7 @@ class TestSupportSolve:
         found = 0
         for mask in itertools.product((False, True), repeat=n):
             x = np.where(mask, 0.5, 0.0)
-            point = _support_solution(problem, x, eps2)
+            point = _support_solution(problem, x, problem.tensor.contract(x), eps2)
             if point is None:
                 continue
             found += 1
@@ -404,7 +433,8 @@ class TestSupportSolve:
     def test_reference_support_gives_reference(self, name):
         problem = builtin(name)
         ref, tol = reference_solution(name)
-        point, _ = _support_solution(problem, ref, SQPConfig().eps2)
+        point, _ = _support_solution(problem, ref, problem.tensor.contract(ref),
+                                     SQPConfig().eps2)
         np.testing.assert_allclose(point, ref, atol=tol)
         assert np.array_equal(point == 0.0, ref == 0.0)
 
