@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import statistics
 import sys
@@ -39,10 +40,8 @@ def _fmt_full(values):
 
 
 def _json_safe(obj):
-    if isinstance(obj, classify.Certificate):
-        return {"verdict": str(obj.verdict), "method": obj.method,
-                "witness": _json_safe(obj.witness), "detail": obj.detail,
-                "evidence": _json_safe(obj.evidence)}
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _json_safe(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, classify.Verdict):
         return str(obj)
     if isinstance(obj, dict):
@@ -141,7 +140,7 @@ def _solve_payload(problem, result, args):
 
 def cmd_solve(args):
     if args.starts < 1:
-        print("error: --starts must be >= 1", file=sys.stderr)
+        _error("--starts must be >= 1")
         return 2
     try:
         cfg = sqp.SQPConfig(eps1=args.tol_d, eps2=args.tol_feas, max_iter=args.max_iter)
@@ -197,7 +196,7 @@ def _witness_str(witness):
 
 def cmd_classify(args):
     if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
+        _error("--samples must be >= 1")
         return 2
     tensor = _load(args, args.tensor, problems.parse_tensor)
     if tensor is None:
@@ -246,7 +245,7 @@ def cmd_classify(args):
 
 def cmd_bench(args):
     if args.starts < 1:
-        print("error: --starts must be >= 1", file=sys.stderr)
+        _error("--starts must be >= 1")
         return 2
     outdir = Path(args.out)
     try:
@@ -255,8 +254,7 @@ def cmd_bench(args):
         probe.write_text("")
         probe.unlink()
     except OSError as e:
-        print(f"error: output directory {args.out} not writable: {e}",
-              file=sys.stderr)
+        _error(f"output directory {args.out} not writable: {e}")
         return 2
 
     lines = ["# benchmark summary", "",

@@ -160,7 +160,7 @@ def format_value(v):
 
 def _serialize(tensor, q):
     lines = [f"tcp v1 order={tensor.order} dim={tensor.dim}"]
-    for idx, value in sorted(tensor.items()):
+    for idx, value in tensor.items():
         ones = " ".join(str(i + 1) for i in idx)
         lines.append(f"a {ones} {format_value(value)}")
     if q is not None:
@@ -294,9 +294,10 @@ def generate_ks_instance(order, dim, density=0.3, seed=0):
     Raises ValueError, before drawing, when order < 2 or dim < 1, density is
     not in (0, 1], max(dim, 2)**order overflows np.intp, or the instance
     would store more than MAX_ENTRIES entries.  At the cap, order 62 dim 2
-    (the slowest shape) draws and certifies in 39-44 s at a 294 MB peak and
-    order 10 dim 9 in 2.9 s (Python 3.11, numpy 2.4, 2-CPU x86-64), so every
-    admitted draw finishes within 60 s.
+    (the slowest shape) draws and certifies in 5.9-6.5 s at a 296 MB peak,
+    order 39 dim 3 in 4.1-4.8 s, order 10 dim 9 in 0.8-1.0 s, order 6 dim 10
+    in 0.4 s and order 2 dim 19999 in 0.1-0.2 s (Python 3.11, numpy 2.4,
+    2-CPU x86-64), so every admitted draw finishes within 60 s.
     """
     if order < 2 or dim < 1:
         raise ValueError(f"require order >= 2 and dim >= 1, got order={order} dim={dim}")

@@ -59,15 +59,14 @@ class SQPConfig:
     eps1 bounds the QP step 1-norm and eps2 the primal infeasibility at
     termination; eps2 is also the tolerance at which a point from the
     support solve must pass `verify_solution` on both systems.  max_iter
-    caps the outer iterations (0 leaves only the support solve);
-    keep_trace records one `IterationRecord` per accepted step.  eps1 and
-    eps2 must be finite and > 0 and max_iter >= 0, else ValueError.
+    caps the outer iterations (0 leaves only the support solve).  eps1 and
+    eps2 must be finite and > 0 and max_iter >= 0, else ValueError.  Every
+    run records one `IterationRecord` per accepted step in its report.
     """
 
     eps1: float = 1e-6
     eps2: float = 1e-5
     max_iter: int = 500
-    keep_trace: bool = False
 
     def __post_init__(self):
         for name in ("eps1", "eps2"):
@@ -290,10 +289,12 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
     iterations = 0
     step_norm = np.inf
     inexact_qps = 0
-    # ax = A x^(m-1), h and jac always belong to the current x: each accepted
-    # step carries the values its line search and BFGS update computed
+    # ax = A x^(m-1), h, its infeasibility and jac always belong to the
+    # current x: each accepted step carries the values its line search, its
+    # trace record and its BFGS update computed
     ax = problem.tensor.contract(x)
     h = ax - problem.q
+    infeas = infeasibility(x, h)
     jac = problem.tensor.jacobian(x)
 
     for k in range(cfg.max_iter):
@@ -320,7 +321,6 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
                              f"{qp_res.status}, residual {qp_res.residual:.3e}); "
                              "continuing with returned step")
         step_norm = float(np.sum(np.abs(d)))
-        infeas = infeasibility(x, h)
         if qp_res.converged and step_norm <= cfg.eps1 and infeas <= cfg.eps2:
             status = KKT
             break
@@ -338,7 +338,8 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             if not np.array_equal(x_new, x):
                 ax_new = problem.tensor.contract(x_new)
                 h_new = ax_new - problem.q
-                if merit(x_new, h_new, sigma) <= phi0 + ETA * alpha * slope:
+                phi_new = merit(x_new, h_new, sigma)
+                if phi_new <= phi0 + ETA * alpha * slope:
                     break
             alpha *= RHO
         else:
@@ -351,12 +352,10 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         mu, lam = least_squares_multipliers(jac_new)
         y = -(jac_new - jac).T @ mu
         b = damped_bfgs(b, alpha * d, y)
-        if cfg.keep_trace:
-            trace.append(IterationRecord(
-                iteration=k, step_norm=step_norm, alpha=alpha, sigma=sigma,
-                merit=merit(x_new, h_new, sigma),
-                infeasibility=infeasibility(x_new, h_new),
-                qp_iterations=qp_res.iterations))
+        infeas = infeasibility(x_new, h_new)
+        trace.append(IterationRecord(
+            iteration=k, step_norm=step_norm, alpha=alpha, sigma=sigma,
+            merit=phi_new, infeasibility=infeas, qp_iterations=qp_res.iterations))
         x, ax, h, jac = x_new, ax_new, h_new, jac_new
 
     if inexact_qps > 1:

@@ -49,7 +49,9 @@ class Tensor:
     """Order-m, dimension-n real tensor stored as sparse coordinates.
 
     Entries map 0-based index tuples of length m to finite nonzero floats.
-    Zero values are dropped, duplicate tuples rejected, indices range-checked.
+    Duplicate tuples are rejected (zero-valued too), zero values dropped,
+    indices range-checked.  Entries are kept in sorted index order, so every
+    scan of them depends only on the tensor's value, not on input order.
     """
 
     def __init__(self, order, dim, entries):
@@ -72,13 +74,11 @@ class Tensor:
                 raise ValueError(f"entry {idx} has non-finite value {value}")
             if idx in data:
                 raise ValueError(f"duplicate index tuple {idx}")
-            if value != 0.0:
-                data[idx] = value
-        self._entries = data
+            data[idx] = value
+        self._entries = {k: v for k, v in sorted(data.items()) if v != 0.0}
         # column-wise index arrays for vectorized contraction
-        keys = sorted(data)
-        self._idx = np.array(keys, dtype=np.intp).reshape(-1, self.order)
-        self._val = np.array([data[k] for k in keys], dtype=float)
+        self._idx = np.array(list(self._entries), dtype=np.intp).reshape(-1, self.order)
+        self._val = np.array(list(self._entries.values()), dtype=float)
         self._sym = None
 
     # -- basic protocol ----------------------------------------------------

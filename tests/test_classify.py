@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcpsolve import (BUILTIN_NAMES, TCPProblem, Tensor, Verdict, builtin,
                       classify, generate_ks_instance, is_ks_tensor, is_nonnegative,
@@ -107,6 +108,82 @@ def reference_z_function(tensor, num_samples, seed):
             i, j = np.unravel_index(int(np.argmax(flat)), jac.shape)
             return k, x, {"entry": (int(i), int(j)), "value": float(jac[i, j])}
     return None, None, {}
+
+
+def reference_insertion_sums(tensor):
+    """{(i, tail): insertion sum} by per-candidate lookups: collect every
+    (i, tail) that some stored entry is an insertion of, then add up the m
+    insertions of each through `Tensor.value`."""
+    m = tensor.order
+    candidates = set()
+    for idx, _v in tensor.items():
+        for k in range(m):
+            i, tail = idx[k], idx[:k] + idx[k + 1:]
+            if tail[-1] != i:
+                candidates.add((i, tail))
+    return {(i, tail): sum(tensor.value(tail[:p] + (i,) + tail[p:]) for p in range(m))
+            for i, tail in candidates}
+
+
+def reference_condition2(tensor):
+    """(verdict, witness, detail) of the insertion-sum check from the
+    per-candidate sums; the one-pass `satisfies_condition2` must give the
+    same, bit for bit."""
+    sums = reference_insertion_sums(tensor)
+    for i, tail in sorted(sums):
+        if sums[i, tail] > OFFDIAG_TOL:
+            return (Verdict.CERTIFIED_FALSE, (i, tail),
+                    f"insertion sum for i={i}, tail={tail} is {sums[i, tail]} > 0")
+    return (Verdict.CERTIFIED_TRUE, None,
+            f"{len(sums)} candidate (i, tail) pairs, all sums <= 0")
+
+
+def random_mixed_tensor(rng, quarters):
+    """Mixed-sign tensor of order 2-6 and dimension 1-4; with quarters set,
+    values are multiples of 1/4, so insertion sums often cancel exactly."""
+    order = int(rng.integers(2, 7))
+    dim = int(rng.integers(1, 5))
+    total = dim ** order
+    flat = rng.choice(total, size=int(rng.integers(1, min(total, 30) + 1)), replace=False)
+    idx = flat[:, None] // dim ** np.arange(order - 1, -1, -1) % dim
+    values = rng.uniform(-1.0, 1.0, flat.size)
+    if quarters:
+        values = np.round(4.0 * values) / 4.0
+    return Tensor(order, dim, zip(map(tuple, idx.tolist()), values.tolist()))
+
+
+def seven_certificates(tensor, num_samples=1000):
+    return {
+        "nonnegative": is_nonnegative(tensor),
+        "z_tensor": is_z_tensor(tensor),
+        "nonsingular_m": is_nonsingular_m_tensor(tensor),
+        "p_tensor": is_p_tensor(tensor, num_samples=num_samples),
+        "ks_tensor": is_ks_tensor(tensor, num_samples=num_samples),
+        "condition2": satisfies_condition2(tensor),
+        "z_function": z_function_check(tensor, num_samples=num_samples),
+    }
+
+
+def certificate_key(cert):
+    """The certificate as plain values, arrays by their bytes."""
+    def plain(obj):
+        if isinstance(obj, np.ndarray):
+            return obj.dtype.str, obj.shape, obj.tobytes()
+        if isinstance(obj, dict):
+            return tuple((k, plain(v)) for k, v in obj.items())
+        return repr(obj)
+    return cert.verdict, cert.method, plain(cert.witness), cert.detail, plain(cert.evidence)
+
+
+@st.composite
+def permuted_entry_lists(draw):
+    """(order, dim, entry list, the same list permuted)."""
+    order = draw(st.integers(2, 4))
+    dim = draw(st.integers(1, 3))
+    index = st.tuples(*[st.integers(0, dim - 1)] * order)
+    value = st.sampled_from([-2.0, -1.0, -0.75, -0.25, 0.25, 0.5, 1.0, 3.0])
+    entries = list(draw(st.dictionaries(index, value, min_size=1, max_size=12)).items())
+    return order, dim, entries, draw(st.permutations(entries))
 
 
 # F_0 = x0 (x0 - x1/2), F_1 = x1 (x1 - 4 x0): no deterministic probe
@@ -239,6 +316,66 @@ class TestCondition2:
             cert = satisfies_condition2(t)
             assert cert.verdict is (Verdict.CERTIFIED_FALSE if violated
                                     else Verdict.CERTIFIED_TRUE)
+
+    def test_matches_per_candidate_reference(self):
+        rng = np.random.default_rng(2026)
+        seen = {Verdict.CERTIFIED_TRUE: 0, Verdict.CERTIFIED_FALSE: 0}
+        cancelled = 0
+        for k in range(600):
+            t = random_mixed_tensor(rng, quarters=k % 2 == 1)
+            cert = satisfies_condition2(t)
+            assert (cert.verdict, cert.witness, cert.detail) == reference_condition2(t)
+            seen[cert.verdict] += 1
+            cancelled += 0.0 in reference_insertion_sums(t).values()
+        assert min(seen.values()) > 50
+        assert cancelled > 0
+
+    def test_sums_add_in_position_order(self):
+        # the insertions of i = 1 into tail (0, 0) are, by position, entries
+        # (1,0,0), (0,1,0), (0,0,1): stored order is the reverse, and
+        # 0.7 + 0.2 - 0.3 rounds differently from -0.3 + 0.2 + 0.7
+        t = Tensor(3, 2, {(1, 0, 0): 0.7, (0, 1, 0): 0.2, (0, 0, 1): -0.3})
+        cert = satisfies_condition2(t)
+        assert (cert.verdict, cert.witness, cert.detail) == reference_condition2(t)
+        assert cert.detail.endswith(f"is {0.7 + 0.2 - 0.3} > 0")
+
+    def test_no_entry_lookups(self, monkeypatch):
+        tensors = [builtin_tensor(name) for name in BUILTIN_NAMES]
+        tensors.append(generate_ks_instance(6, 3, density=0.3, seed=3).tensor)
+        tensors += [random_mixed_tensor(np.random.default_rng(s), quarters=True)
+                    for s in range(20)]
+        expected = [satisfies_condition2(t) for t in tensors]
+
+        def no_lookup(self, idx):
+            raise AssertionError("satisfies_condition2 looked up an entry")
+
+        monkeypatch.setattr(Tensor, "value", no_lookup)
+        assert [satisfies_condition2(t) for t in tensors] == expected
+
+
+class TestEntryOrder:
+    """Certificates depend on the tensor's value, not on the order in which
+    its entries were given."""
+
+    def test_reversed_dict_same_witnesses(self):
+        entries = {(0, 0, 0): 1.0, (1, 1, 1): 1.0, (0, 1, 1): 2.0, (1, 0, 0): 3.0,
+                   (0, 0, 1): -4.0, (1, 1, 0): -4.0}
+        t = Tensor(3, 2, entries)
+        r = Tensor(3, 2, dict(reversed(entries.items())))
+        assert t == r and hash(t) == hash(r)
+        assert is_z_tensor(t).witness == is_z_tensor(r).witness == (0, 1, 1)
+        assert is_nonnegative(t).witness == is_nonnegative(r).witness == (0, 0, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(permuted_entry_lists())
+    def test_permutation_invariant(self, case):
+        order, dim, entries, permuted = case
+        t, p = Tensor(order, dim, entries), Tensor(order, dim, permuted)
+        assert list(t.items()) == list(p.items())
+        first = seven_certificates(t, num_samples=50)
+        second = seven_certificates(p, num_samples=50)
+        assert ({k: certificate_key(c) for k, c in first.items()}
+                == {k: certificate_key(c) for k, c in second.items()})
 
 
 class TestMTensor:

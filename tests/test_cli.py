@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from tcpsolve import builtin, cli, generate_ks_instance, parse_problem
+from tcpsolve import builtin, classify, cli, generate_ks_instance, parse_problem
 from tcpsolve.problems import serialize_problem, serialize_tensor
 
 INFEASIBLE = "tcp v1 order=3 dim=2\na 1 1 1 1\na 2 1 1 1\nq 0 1\n"
@@ -120,6 +120,15 @@ class TestExitCodes:
         assert code == 2
         assert "not writable" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("solve", "--builtin", "ex5_1", "--starts", "0"), "--starts must be >= 1"),
+        (("classify", "--builtin", "ex5_1", "--samples", "0"), "--samples must be >= 1"),
+        (("bench", "--out", "{tmp}", "--starts", "0"), "--starts must be >= 1")])
+    def test_usage_error_message_exact(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+        assert code == 2
+        assert (out, err) == ("", f"error: {message}\n")
+
     def test_no_arguments_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])
@@ -227,6 +236,23 @@ class TestClassifyOutput:
         assert results["ks_tensor"]["verdict"] == "supported"
         assert results["condition2"]["verdict"] == "certified_true"
         assert results["z_function"]["verdict"] == "supported"
+
+    def test_json_bracket_is_an_object(self, capsys):
+        # ex5_3's M-check reaches the spectral bracket
+        code, out, err = run(capsys, "classify", "--builtin", "ex5_3",
+                             "--format", "json")
+        assert code == 0
+        cert = json.loads(out)["results"]["nonsingular_m"]
+        assert list(cert) == ["verdict", "method", "witness", "detail", "evidence"]
+        assert cert["method"] == "spectral_bracket"
+        expected = classify.is_nonsingular_m_tensor(builtin("ex5_3").tensor)
+        bracket = expected.evidence["bracket"]
+        assert cert["evidence"] == {
+            "s": expected.evidence["s"],
+            "bracket": {"value": bracket.value, "lo": bracket.lo, "hi": bracket.hi,
+                        "iterations": bracket.iterations,
+                        "converged": bracket.converged, "shifted": bracket.shifted}}
+        assert cert["evidence"]["bracket"]["hi"] < cert["evidence"]["s"]
 
     def test_tensor_file_matches_builtin(self, capsys, tmp_path):
         path = tmp_path / "t.tcp"

@@ -234,7 +234,7 @@ class TestSQPSolve:
         assert check.max_violation <= cfg.eps2
 
     def test_penalty_is_monotone_along_trace(self):
-        cfg = SQPConfig(keep_trace=True)
+        cfg = SQPConfig()
         report = sqp_solve(problem=builtin("ex5_1"),
                            x0=np.array([0.4, 0.8]), config=cfg)
         assert report.converged
@@ -288,7 +288,7 @@ class TestSQPSolve:
             return replace(res, d=np.full(qp.n, 1e-30))
 
         monkeypatch.setattr(sqp, "solve_qp", tiny_step)
-        cfg = SQPConfig(max_iter=5, keep_trace=True)
+        cfg = SQPConfig(max_iter=5)
         report = sqp_solve(builtin("ex5_1"), np.array([0.9, 0.9]), config=cfg)
         assert report.iterations == 1
         assert report.trace == ()
@@ -303,7 +303,7 @@ class TestSQPSolve:
         seen = record_evaluations(monkeypatch)
         monkeypatch.setattr(sqp, "_support_solution", lambda *args: None)
         report = sqp_solve(builtin(name), np.array(x0),
-                           config=SQPConfig(keep_trace=True))
+                           config=SQPConfig())
         assert report.iterations > 1
         for calls in seen.values():
             assert len(calls) == len(set(calls))

@@ -114,6 +114,24 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Tensor(2, 2, [((0, 0), 1.0), ((0, 0), 2.0)])
 
+    @pytest.mark.parametrize("entries", [[((0, 0), 0.0), ((0, 0), 1.0)],
+                                         [((0, 0), 1.0), ((0, 0), 0.0)],
+                                         [((0, 1), 0.0), ((0, 1), 0.0)]])
+    def test_rejects_zero_valued_duplicate(self, entries):
+        # a zero value is dropped only after the duplicate check, so the
+        # order of the list cannot decide whether it is accepted
+        with pytest.raises(ValueError, match="duplicate index tuple"):
+            Tensor(2, 2, entries)
+
+    def test_entries_in_sorted_order(self):
+        entries = [((1, 0, 1), 2.0), ((0, 1, 1), -1.0), ((1, 1, 0), 0.0),
+                   ((0, 0, 0), 3.0), ((1, 0, 0), 4.0)]
+        t = Tensor(3, 2, entries)
+        keys = [idx for idx, _ in t.items()]
+        assert keys == sorted(idx for idx, v in entries if v != 0.0)
+        assert t._idx.tolist() == [list(k) for k in keys]
+        assert t._val.tolist() == [v for _, v in t.items()]
+
     def test_zero_values_dropped(self):
         t = Tensor(3, 2, {(0, 0, 0): 0.0, (1, 1, 1): 2.0})
         assert t.nnz == 1
