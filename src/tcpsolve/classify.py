@@ -78,37 +78,31 @@ class KSDecomposition:
 # entry-level checks
 
 def is_nonnegative(tensor):
-    worst = None
-    for idx, v in tensor.items():
-        if v < 0 and (worst is None or v < worst[1]):
-            worst = (idx, v)
-    if worst is None:
+    if tensor.min_value() >= 0:
         return Certificate(Verdict.CERTIFIED_TRUE, "entry_scan",
                            detail=f"all {tensor.nnz} stored entries >= 0")
-    return Certificate(Verdict.CERTIFIED_FALSE, "entry_scan", witness=worst[0],
-                       detail=f"entry {worst[0]} = {worst[1]}")
+    # argmin picks the first smallest entry in sorted order
+    idx, v = tensor.items()[np.argmin(tensor._val)]
+    return Certificate(Verdict.CERTIFIED_FALSE, "entry_scan", witness=idx,
+                       detail=f"entry {idx} = {v}")
 
 
 def is_z_tensor(tensor):
     """Z-tensor: off-diagonal entries all <= 0."""
-    for idx, v in tensor.off_diagonal_items():
-        if v > 0:
-            return Certificate(Verdict.CERTIFIED_FALSE, "entry_scan", witness=idx,
-                               detail=f"off-diagonal entry {idx} = {v} > 0")
+    positive = np.flatnonzero(tensor.off_diagonal() & (tensor._val > 0))
+    if positive.size:
+        idx, v = tensor.items()[positive[0]]
+        return Certificate(Verdict.CERTIFIED_FALSE, "entry_scan", witness=idx,
+                           detail=f"off-diagonal entry {idx} = {v} > 0")
     return Certificate(Verdict.CERTIFIED_TRUE, "entry_scan",
                        detail="no positive off-diagonal entry")
 
 
 def ks_split(tensor):
-    w, nn = {}, {}
-    for idx, v in tensor.items():
-        diag = all(i == idx[0] for i in idx[1:])
-        if diag or v < 0:
-            w[idx] = v
-        else:
-            nn[idx] = v
-    return KSDecomposition(W=Tensor(tensor.order, tensor.dim, w),
-                           N=Tensor(tensor.order, tensor.dim, nn))
+    idx, val = tensor._idx, tensor._val
+    w = ~tensor.off_diagonal() | (val < 0)
+    return KSDecomposition(W=Tensor(tensor.order, tensor.dim, zip(idx[w], val[w])),
+                           N=Tensor(tensor.order, tensor.dim, zip(idx[~w], val[~w])))
 
 
 def satisfies_condition2(tensor):

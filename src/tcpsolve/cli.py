@@ -325,6 +325,13 @@ def cmd_gen(args):
 # ---------------------------------------------------------------------------
 # parser
 
+def _seed(text):
+    """argparse type of --seed: an integer >= 0, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tcpsolve",
@@ -336,7 +343,7 @@ def build_parser():
     src.add_argument("--problem", help="path to a tcp v1 problem file")
     src.add_argument("--builtin", help=f"builtin name ({', '.join(SOLVABLE_BUILTINS)})")
     p_solve.add_argument("--starts", type=int, default=20)
-    p_solve.add_argument("--seed", type=int, default=42)
+    p_solve.add_argument("--seed", type=_seed, default=42)
     p_solve.add_argument("--max-iter", type=int, default=500,
                          help="SQP iterations per start, >= 0 (max_iter)")
     p_solve.add_argument("--tol-d", type=float, default=1e-6,
@@ -352,21 +359,21 @@ def build_parser():
     src.add_argument("--tensor", help="path to a tcp v1 tensor file")
     src.add_argument("--builtin", help=f"builtin name ({', '.join(problems.BUILTIN_NAMES)})")
     p_cls.add_argument("--samples", type=int, default=1000)
-    p_cls.add_argument("--seed", type=int, default=42)
+    p_cls.add_argument("--seed", type=_seed, default=42)
     p_cls.add_argument("--format", choices=("table", "json"), default="table")
     p_cls.set_defaults(func=cmd_classify)
 
     p_bench = sub.add_parser("bench", help="rerun the builtin benchmark problems")
     p_bench.add_argument("--out", required=True, help="output directory")
     p_bench.add_argument("--starts", type=int, default=20)
-    p_bench.add_argument("--seed", type=int, default=42)
+    p_bench.add_argument("--seed", type=_seed, default=42)
     p_bench.set_defaults(func=cmd_bench)
 
     p_gen = sub.add_parser("gen", help="generate a random certified KS instance")
     p_gen.add_argument("--order", type=int, required=True)
     p_gen.add_argument("--dim", type=int, required=True)
     p_gen.add_argument("--density", type=float, default=0.3)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--seed", type=_seed, default=0)
     p_gen.add_argument("--out", required=True, help="output file path")
     p_gen.set_defaults(func=cmd_gen)
     return parser

@@ -294,10 +294,11 @@ def generate_ks_instance(order, dim, density=0.3, seed=0):
     Raises ValueError, before drawing, when order < 2 or dim < 1, density is
     not in (0, 1], max(dim, 2)**order overflows np.intp, or the instance
     would store more than MAX_ENTRIES entries.  At the cap, order 62 dim 2
-    (the slowest shape) draws and certifies in 5.9-6.5 s at a 296 MB peak,
-    order 39 dim 3 in 4.1-4.8 s, order 10 dim 9 in 0.8-1.0 s, order 6 dim 10
-    in 0.4 s and order 2 dim 19999 in 0.1-0.2 s (Python 3.11, numpy 2.4,
-    2-CPU x86-64), so every admitted draw finishes within 60 s.
+    (the slowest shape) draws and certifies in 4.9-5.0 s at a 295 MB peak,
+    0.08-0.11 s of it in the Tensor constructor; order 39 dim 3 takes
+    2.8-3.1 s, order 10 dim 9 0.7-0.8 s, order 6 dim 10 0.35 s and order 2
+    dim 19999 0.08 s (Python 3.11, numpy 2.4, 2-CPU x86-64), so every
+    admitted draw finishes within 60 s.
     """
     if order < 2 or dim < 1:
         raise ValueError(f"require order >= 2 and dim >= 1, got order={order} dim={dim}")
@@ -319,9 +320,8 @@ def generate_ks_instance(order, dim, density=0.3, seed=0):
     idx = flat[:, None] // dim ** np.arange(order - 1, -1, -1) % dim
     values = rng.uniform(0.2, 1.0, count)
     mass = np.bincount(idx[:, 0], weights=values, minlength=dim)
-    entries = dict(zip(map(tuple, idx.tolist()), (-values).tolist()))
-    entries.update(((i,) * order, 1.0 + w) for i, w in enumerate(mass.tolist()))
-    tensor = Tensor(order, dim, entries)
+    rows = np.concatenate([idx, np.repeat(np.arange(dim)[:, None], order, axis=1)])
+    tensor = Tensor(order, dim, zip(rows, np.concatenate([-values, 1.0 + mass])))
     q = rng.uniform(0.0, 1.0, dim)
     ks = classify.is_ks_tensor(tensor)
     cond2 = classify.satisfies_condition2(tensor)

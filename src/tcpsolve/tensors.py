@@ -8,10 +8,12 @@ polynomial map
 which is the object every other module here is built on: the complementarity
 problem asks for x >= 0 with F(x) - q >= 0 and x'(F(x) - q) = 0.
 
-Its Jacobian comes from the product rule on the stored entries: each entry
-and tail slot is one term, so no call expands the tensor over tail
-permutations.  Both maps cache their term lists on the tensor at first use
-and sum them with one kernel, `_sum_terms`, at a point or a (k, n) stack.
+A `Tensor` stores its entries once, as an array of sorted index rows and an
+array of values, validated as a whole when it is built; the kernels, the
+entry scans and `items()` all read that one store.  The Jacobian comes from
+the product rule on the stored entries, each entry and tail slot one term.
+Both maps cache their term lists on the tensor at first use and sum them
+with one kernel, `_sum_terms`, at a point or a (k, n) stack.
 """
 
 from __future__ import annotations
@@ -27,81 +29,76 @@ __all__ = ["Tensor", "SpectralBracket", "identity", "newton_on_support",
 
 
 def _distinct_permutations(seq):
-    """Yield the distinct orderings of seq (a tuple possibly with repeats)."""
-    pool = sorted(seq)
-    n = len(pool)
-    while True:
-        yield tuple(pool)
-        # next lexicographic permutation, skipping duplicates by construction
-        i = n - 2
-        while i >= 0 and pool[i] >= pool[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = n - 1
-        while pool[j] <= pool[i]:
-            j -= 1
-        pool[i], pool[j] = pool[j], pool[i]
-        pool[i + 1:] = reversed(pool[i + 1:])
+    """Yield the distinct orderings of the tuple seq, in lexicographic order."""
+    if not seq:
+        yield ()
+    for first in sorted(set(seq)):
+        i = seq.index(first)
+        for rest in _distinct_permutations(seq[:i] + seq[i + 1:]):
+            yield (first,) + rest
 
 
 class Tensor:
     """Order-m, dimension-n real tensor stored as sparse coordinates.
 
-    Entries map 0-based index tuples of length m to finite nonzero floats.
-    Duplicate tuples are rejected (zero-valued too), zero values dropped,
-    indices range-checked.  Entries are kept in sorted index order, so every
-    scan of them depends only on the tensor's value, not on input order.
+    The entries are `_idx`, the (nnz, m) intp index rows in sorted order, and
+    `_val`, their finite nonzero values.  The constructor takes a mapping or
+    an iterable of (index, value) pairs and checks them all at once: indices
+    of length m with integer entries in 0..n-1, finite values, and no index
+    twice (zero values included); zero values are then dropped.  So every
+    scan of the entries depends only on the tensor's value, not on input order.
     """
 
     def __init__(self, order, dim, entries):
-        if order < 2:
-            raise ValueError(f"tensor order must be >= 2, got {order}")
-        if dim < 1:
-            raise ValueError(f"tensor dimension must be >= 1, got {dim}")
-        self.order = int(order)
-        self.dim = int(dim)
-        data = {}
-        items = entries.items() if hasattr(entries, "items") else entries
-        for idx, value in items:
-            idx = tuple(int(i) for i in idx)
-            if len(idx) != self.order:
-                raise ValueError(f"index {idx} has length {len(idx)}, expected {self.order}")
-            if any(i < 0 or i >= self.dim for i in idx):
-                raise ValueError(f"index {idx} out of range for dimension {self.dim}")
-            value = float(value)
-            if not math.isfinite(value):
-                raise ValueError(f"entry {idx} has non-finite value {value}")
-            if idx in data:
-                raise ValueError(f"duplicate index tuple {idx}")
-            data[idx] = value
-        self._entries = {k: v for k, v in sorted(data.items()) if v != 0.0}
-        # column-wise index arrays for vectorized contraction
-        self._idx = np.array(list(self._entries), dtype=np.intp).reshape(-1, self.order)
-        self._val = np.array(list(self._entries.values()), dtype=float)
+        if order < 2 or dim < 1:
+            raise ValueError(f"tensor needs order >= 2 and dimension >= 1, got {order}, {dim}")
+        self.order, self.dim = m, n = int(order), int(dim)
+        pairs = list(entries.items() if hasattr(entries, "items") else entries)
+        keys = [k for k, _ in pairs]
+        if set(map(len, keys)) - {m}:
+            key = next(k for k in keys if len(k) != m)
+            raise ValueError(f"index {key} does not have length {m}")
+        idx = np.array(keys or np.empty((0, m), np.intp)).reshape(len(keys), m)
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers in 0..{n - 1}, got {idx.dtype}")
+        _reject((idx < 0) | (idx >= n), idx, f"index {{}} out of range 0..{n - 1}")
+        val = np.array([v for _, v in pairs], dtype=float).reshape(len(pairs))
+        _reject(~np.isfinite(val), idx, "entry {} has a non-finite value")
+        # lexsort's last key is its first: rows sorted as tuples would be
+        rank = np.lexsort(idx.T[::-1])
+        idx, val = idx[rank].astype(np.intp), val[rank]
+        _reject((idx[1:] == idx[:-1]).all(axis=1), idx, "duplicate index tuple {}")
+        self._idx, self._val = idx[val != 0.0], val[val != 0.0]
         self._sym = None
 
     # -- basic protocol ----------------------------------------------------
 
     @property
     def nnz(self):
-        return len(self._entries)
+        return self._val.size
 
     def value(self, idx):
         """Entry at 0-based tuple idx (0.0 when absent)."""
-        return self._entries.get(tuple(idx), 0.0)
+        hit = np.flatnonzero((self._idx == idx).all(axis=1)) if len(idx) == self.order else ()
+        return float(self._val[hit[0]]) if len(hit) else 0.0
+
+    @cached_property
+    def _items(self):
+        return tuple(zip(map(tuple, self._idx.tolist()), self._val.tolist()))
 
     def items(self):
-        return self._entries.items()
+        """The (index tuple, value) pairs in sorted order, as Python values."""
+        return self._items
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
         return (self.order == other.order and self.dim == other.dim
-                and self._entries == other._entries)
+                and np.array_equal(self._idx, other._idx)
+                and np.array_equal(self._val, other._val))
 
     def __hash__(self):
-        return hash((self.order, self.dim, frozenset(self._entries.items())))
+        return hash((self.order, self.dim, self.items()))
 
     def __repr__(self):
         return f"Tensor(order={self.order}, dim={self.dim}, nnz={self.nnz})"
@@ -111,17 +108,13 @@ class Tensor:
     @classmethod
     def from_dense(cls, array):
         array = np.asarray(array, dtype=float)
-        order = array.ndim
-        dim = array.shape[0]
-        if array.shape != (dim,) * order:
-            raise ValueError(f"dense tensor must be hypercubic, got shape {array.shape}")
-        entries = {idx: array[idx] for idx in zip(*np.nonzero(array))}
-        return cls(order, dim, entries)
+        if array.ndim < 2 or array.shape != (array.shape[0],) * array.ndim:
+            raise ValueError(f"dense tensor must be hypercubic of order >= 2, got {array.shape}")
+        return cls(array.ndim, array.shape[0], zip(np.argwhere(array), array[array != 0]))
 
     def to_dense(self):
         out = np.zeros((self.dim,) * self.order)
-        for idx, v in self._entries.items():
-            out[idx] = v
+        out[tuple(self._idx.T)] = self._val
         return out
 
     # -- contractions --------------------------------------------------------
@@ -146,19 +139,13 @@ class Tensor:
         contracting with any x is unchanged: bar_A x^{m-1} = A x^{m-1}.
         """
         if self._sym is None:
-            m = self.order
-            fact = math.factorial(m - 1)
+            fact = math.factorial(self.order - 1)
             acc = {}
-            for idx, v in self._entries.items():
-                tail = idx[1:]
-                counts = {}
-                for i in tail:
-                    counts[i] = counts.get(i, 0) + 1
-                stab = 1
-                for c in counts.values():
-                    stab *= math.factorial(c)
-                w = v * stab / fact
-                for perm in _distinct_permutations(tail):
+            for idx, v in self.items():
+                perms = list(_distinct_permutations(idx[1:]))
+                # fact // len(perms) is the tail's stabilizer order
+                w = v * (fact // len(perms)) / fact
+                for perm in perms:
                     key = (idx[0],) + perm
                     acc[key] = acc.get(key, 0.0) + w
             self._sym = Tensor(self.order, self.dim, acc)
@@ -192,12 +179,14 @@ class Tensor:
 
     def diagonal(self):
         """Vector of the n diagonal entries a[i, i, .., i]."""
-        return np.array([self._entries.get((i,) * self.order, 0.0) for i in range(self.dim)])
+        on = ~self.off_diagonal()
+        out = np.zeros(self.dim)
+        out[self._idx[on, 0]] = self._val[on]
+        return out
 
-    def off_diagonal_items(self):
-        for idx, v in self._entries.items():
-            if any(i != idx[0] for i in idx[1:]):
-                yield idx, v
+    def off_diagonal(self):
+        """Mask of the stored entries whose index is not (i, i, .., i)."""
+        return (self._idx[:, 1:] != self._idx[:, :1]).any(axis=1)
 
     def min_value(self):
         return float(self._val.min()) if self.nnz else 0.0
@@ -206,15 +195,24 @@ class Tensor:
         return float(np.abs(self._val).max()) if self.nnz else 0.0
 
     def scaled(self, factor):
-        return Tensor(self.order, self.dim, {k: factor * v for k, v in self._entries.items()})
+        return Tensor(self.order, self.dim, zip(self._idx, factor * self._val))
 
     def __add__(self, other):
         if not isinstance(other, Tensor) or other.order != self.order or other.dim != self.dim:
             return NotImplemented
-        acc = dict(self._entries)
-        for k, v in other._entries.items():
-            acc[k] = acc.get(k, 0.0) + v
-        return Tensor(self.order, self.dim, acc)
+        rows, slot = np.unique(np.concatenate([self._idx, other._idx]), axis=0,
+                               return_inverse=True)
+        # bincount adds in list order: a shared index gets 0 + a + b, as a + b
+        sums = np.bincount(slot, weights=np.concatenate([self._val, other._val]),
+                           minlength=len(rows))
+        return Tensor(self.order, self.dim, zip(rows, sums))
+
+
+def _reject(bad, idx, message):
+    """Raise ValueError(message) naming the first row of idx that bad flags."""
+    if np.count_nonzero(bad):
+        row = np.argmax(bad.reshape(len(bad), -1).any(axis=1))
+        raise ValueError(message.format(tuple(idx[row].tolist())))
 
 
 def _sum_terms(x, n, terms, size):

@@ -231,6 +231,34 @@ class TestEntryScans:
     def test_z_tensor_identity(self):
         assert is_z_tensor(identity(3, 3)).verdict is Verdict.CERTIFIED_TRUE
 
+    def test_array_scans_match_loops(self):
+        """The mask scans pick the witness, detail and split of a loop over
+        items() in sorted order: the first smallest negative entry, the
+        first positive off-diagonal entry, and W = diagonal or negative."""
+        def off(idx):
+            return any(i != idx[0] for i in idx[1:])
+
+        tensors = [builtin_tensor(name) for name in BUILTIN_NAMES]
+        tensors += [random_mixed_tensor(np.random.default_rng(s), quarters=s % 2)
+                    for s in range(200)]
+        for t in tensors:
+            negative = [(idx, v) for idx, v in t.items() if v < 0]
+            worst = min(negative, key=lambda e: e[1]) if negative else None
+            cert = is_nonnegative(t)
+            assert cert.witness == (worst and worst[0])
+            if worst:
+                assert cert.detail == f"entry {worst[0]} = {worst[1]}"
+            positive = [(idx, v) for idx, v in t.items() if off(idx) and v > 0]
+            cert = is_z_tensor(t)
+            assert cert.witness == (positive[0][0] if positive else None)
+            if positive:
+                assert cert.detail == f"off-diagonal entry {positive[0][0]} = {positive[0][1]} > 0"
+            split = ks_split(t)
+            assert split.W.items() == tuple(e for e in t.items() if not off(e[0]) or e[1] < 0)
+            assert split.N.items() == tuple(e for e in t.items() if off(e[0]) and e[1] >= 0)
+            diag = [t.value((i,) * t.order) for i in range(t.dim)]
+            assert t.diagonal().tolist() == diag
+
 
 class TestKSSplit:
 
@@ -371,11 +399,33 @@ class TestEntryOrder:
     def test_permutation_invariant(self, case):
         order, dim, entries, permuted = case
         t, p = Tensor(order, dim, entries), Tensor(order, dim, permuted)
-        assert list(t.items()) == list(p.items())
+        assert t.items() == p.items()
+        assert t._idx.tobytes() == p._idx.tobytes() and t._val.tobytes() == p._val.tobytes()
+        assert t == p and hash(t) == hash(p)
         first = seven_certificates(t, num_samples=50)
         second = seven_certificates(p, num_samples=50)
         assert ({k: certificate_key(c) for k, c in first.items()}
                 == {k: certificate_key(c) for k, c in second.items()})
+
+    def test_python_values_in_items_witnesses_and_details(self):
+        """Entries and entry witnesses are Python ints and floats, so no
+        detail string prints a numpy scalar such as np.float64(0.5)."""
+        def python_ints(obj):
+            return (all(python_ints(o) for o in obj) if isinstance(obj, tuple)
+                    else type(obj) is int)
+
+        tensors = [builtin_tensor(name) for name in BUILTIN_NAMES]
+        tensors += [random_mixed_tensor(np.random.default_rng(s), quarters=s % 2)
+                    for s in range(30)]
+        tuple_witnesses = 0
+        for t in tensors:
+            assert all(python_ints(idx) and type(v) is float for idx, v in t.items())
+            for cert in seven_certificates(t, num_samples=20).values():
+                assert "np." not in cert.detail
+                if isinstance(cert.witness, tuple):
+                    assert python_ints(cert.witness)
+                    tuple_witnesses += 1
+        assert tuple_witnesses > 30
 
 
 class TestMTensor:

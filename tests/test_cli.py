@@ -129,6 +129,25 @@ class TestExitCodes:
         assert code == 2
         assert (out, err) == ("", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("solve", "--builtin", "ex5_1", "--starts", "2"),
+        ("classify", "--builtin", "ex5_1"),
+        ("bench", "--out", "{tmp}", "--starts", "2"),
+        ("gen", "--order", "3", "--dim", "2", "--out", "{tmp}/g.tcp")])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main([a.format(tmp=tmp_path) for a in argv] + ["--seed", "-1"])
+        err = capsys.readouterr().err
+        assert excinfo.value.code == 2
+        assert "argument --seed: must be an integer >= 0, got '-1'" in err
+        assert "Traceback" not in err and not (tmp_path / "g.tcp").exists()
+
+    def test_seed_must_be_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["classify", "--builtin", "ex5_1", "--seed", "1.5"])
+        assert excinfo.value.code == 2
+        assert "argument --seed: must be an integer >= 0, got '1.5'" in capsys.readouterr().err
+
     def test_no_arguments_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])

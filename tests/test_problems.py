@@ -365,9 +365,10 @@ class TestGenerator:
         assert tensor.dim == 3
         assert np.all(problem.q >= 0.0)
         row_mass = np.zeros(3)
-        for idx, value in tensor.off_diagonal_items():
-            assert value < 0.0
-            row_mass[idx[0]] += abs(value)
+        for idx, value in tensor.items():
+            if any(i != idx[0] for i in idx):
+                assert value < 0.0
+                row_mass[idx[0]] += abs(value)
         for i in range(3):
             assert tensor.value((i,) * 4) > row_mass[i]
 

@@ -106,9 +106,41 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Tensor(3, 2, {(-1, 0, 0): 1.0})
 
+    @pytest.mark.parametrize("idx", [(0.5, 1), (1.0, 0), ("1", 0), (0, None)])
+    def test_rejects_non_integer_index(self, idx):
+        # nothing is rounded or parsed into an integer index
+        with pytest.raises(ValueError, match="indices must be integers"):
+            Tensor(2, 2, {idx: 1.0})
+
+    @pytest.mark.parametrize("big", [2 ** 63, 2 ** 64, 2 ** 70])
+    def test_rejects_index_beyond_int64(self, big):
+        with pytest.raises(ValueError):
+            Tensor(2, 2, {(0, big): 1.0})
+
+    def test_accepts_numpy_integer_index(self):
+        t = Tensor(3, 2, {(np.int32(1), np.uint8(0), np.int64(1)): 2.0, (0, 0, 0): 1.0})
+        assert t == Tensor(3, 2, {(1, 0, 1): 2.0, (0, 0, 0): 1.0})
+        assert t._idx.dtype == np.intp
+        assert t.items() == (((0, 0, 0), 1.0), ((1, 0, 1), 2.0))
+
+    @pytest.mark.parametrize("array", [np.float64(2.0), np.array(2.0), np.ones(3),
+                                       np.ones((2, 3))])
+    def test_from_dense_rejects_non_hypercubes(self, array):
+        with pytest.raises(ValueError, match="hypercubic"):
+            Tensor.from_dense(array)
+
+    def test_value_of_absent_or_wrong_length_index_is_zero(self):
+        t = Tensor(3, 2, {(0, 1, 1): -1.5, (1, 1, 1): 2.0})
+        assert t.value((0, 1, 1)) == -1.5 and type(t.value((0, 1, 1))) is float
+        for idx in [(1, 0, 1), (0, 1), (0, 1, 1, 1), (), (5, 5, 5)]:
+            assert t.value(idx) == 0.0
+        assert Tensor(3, 2, {}).value((0, 0, 0)) == 0.0
+
     def test_rejects_non_finite_value(self):
         with pytest.raises(ValueError):
             Tensor(2, 2, {(0, 0): math.inf})
+        with pytest.raises(ValueError, match=r"entry \(1, 0\) has a non-finite value"):
+            Tensor(2, 2, [((0, 0), 1.0), ((1, 0), math.nan)])
 
     def test_rejects_duplicate_tuple(self):
         with pytest.raises(ValueError):
@@ -122,6 +154,48 @@ class TestConstruction:
         # order of the list cannot decide whether it is accepted
         with pytest.raises(ValueError, match="duplicate index tuple"):
             Tensor(2, 2, entries)
+
+    def test_matches_per_entry_reference(self):
+        """Random entry lists, some with a wrong length, an index out of
+        range, a non-finite value or a repeated index: the array checks
+        accept exactly what a per-entry loop accepts and store the same
+        sorted nonzero entries."""
+        def reference(order, dim, pairs):
+            data = {}
+            for idx, value in pairs:
+                if (len(idx) != order or not all(0 <= i < dim for i in idx)
+                        or not math.isfinite(value) or idx in data):
+                    return None
+                data[idx] = value
+            return tuple((k, v) for k, v in sorted(data.items()) if v != 0.0)
+
+        rng = np.random.default_rng(3)
+        rejected = 0
+        for _ in range(400):
+            order, dim = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+            pairs = []
+            for _ in range(int(rng.integers(0, 12))):
+                length = order + int(rng.choice([0] * 9 + [-1, 1]))
+                low, high = -int(rng.random() < 0.03), dim + int(rng.random() < 0.03)
+                idx = tuple(int(i) for i in rng.integers(low, high, length))
+                value = float(rng.choice([0.0, -1.5, 0.25, 2.0, rng.standard_normal(),
+                                          math.inf, math.nan],
+                                         p=[0.15, 0.2, 0.2, 0.2, 0.21, 0.02, 0.02]))
+                pairs.append((idx, value))
+            if rng.random() < 0.1 and pairs:
+                pairs.append((pairs[0][0], 0.0))
+            expected = reference(order, dim, pairs)
+            if expected is None:
+                rejected += 1
+                with pytest.raises(ValueError):
+                    Tensor(order, dim, pairs)
+                continue
+            t = Tensor(order, dim, pairs)
+            assert t.items() == expected
+            assert t._idx.dtype == np.intp and t._idx.shape == (len(expected), order)
+            assert t._idx.tolist() == [list(k) for k, _ in expected]
+            assert t._val.tobytes() == np.array([v for _, v in expected], dtype=float).tobytes()
+        assert 40 < rejected < 360
 
     def test_entries_in_sorted_order(self):
         entries = [((1, 0, 1), 2.0), ((0, 1, 1), -1.0), ((1, 1, 0), 0.0),
