@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import Tensor, _spectral_bracket, identity, newton_on_support
+from .tensors import Tensor, _shifted, _spectral_bracket, newton_on_support
 
 __all__ = [
     "Verdict", "Certificate", "KSDecomposition",
@@ -174,8 +174,7 @@ def _m_check(tensor):
         return Certificate(Verdict.CERTIFIED_TRUE, "positive_vector", witness=x,
                            detail="x > 0 with A x^(m-1) > 0 found")
     s = float(np.max(diag))
-    bump = identity(tensor.order, tensor.dim).scaled(s)
-    b = bump + tensor.scaled(-1.0)
+    b = _shifted(tensor, s, -1.0)
     # every bracket is certified and the running one only narrows, so the
     # first one that leaves s outside gives the converged bracket's verdict
     bracket = _spectral_bracket(b, lambda lo, hi: hi < s or lo >= s)

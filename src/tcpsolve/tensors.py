@@ -8,12 +8,12 @@ polynomial map
 which is the object every other module here is built on: the complementarity
 problem asks for x >= 0 with F(x) - q >= 0 and x'(F(x) - q) = 0.
 
-A `Tensor` stores its entries once, as an array of sorted index rows and an
-array of values, validated as a whole when it is built; the kernels, the
-entry scans and `items()` all read that one store.  The Jacobian comes from
-the product rule on the stored entries, each entry and tail slot one term.
-Both maps cache their term lists on the tensor at first use and sum them
-with one kernel, `_sum_terms`, at a point or a (k, n) stack.
+A `Tensor` stores its entries once, as sorted index rows and their values,
+checked as a whole when built; the kernels, the entry scans, `items()` and
+`_shifted`, which builds s*I +- A in one pass, all read that one store.  The
+Jacobian comes from the product rule on the stored entries, each entry and
+tail slot one term.  Both maps cache their term lists on the tensor at first
+use and sum them with one kernel, `_sum_terms`, at a point or a (k, n) stack.
 """
 
 from __future__ import annotations
@@ -50,8 +50,10 @@ class Tensor:
     """
 
     def __init__(self, order, dim, entries):
-        if order < 2 or dim < 1:
-            raise ValueError(f"tensor needs order >= 2 and dimension >= 1, got {order}, {dim}")
+        if not (all(isinstance(v, (int, np.integer)) for v in (order, dim))
+                and order >= 2 and 1 <= dim < 2 ** 63):
+            raise ValueError(f"tensor needs integer order >= 2 and dimension in 1..2**63-1, "
+                             f"got {order!r}, {dim!r}")
         self.order, self.dim = m, n = int(order), int(dim)
         pairs = list(entries.items() if hasattr(entries, "items") else entries)
         keys = [k for k, _ in pairs]
@@ -59,7 +61,11 @@ class Tensor:
             key = next(k for k in keys if len(k) != m)
             raise ValueError(f"index {key} does not have length {m}")
         idx = np.array(keys or np.empty((0, m), np.intp)).reshape(len(keys), m)
-        if idx.dtype.kind not in "iu":
+        if idx.dtype.kind in "fO" and all(isinstance(i, (int, np.integer))
+                                          for key in keys for i in key):
+            # numpy gives floats for mixed uint64/int64 and objects for ints beyond int64
+            idx = np.array([[int(i) for i in key] for key in keys], dtype=object)
+        elif idx.dtype.kind not in "iu":
             raise ValueError(f"indices must be integers in 0..{n - 1}, got {idx.dtype}")
         _reject((idx < 0) | (idx >= n), idx, f"index {{}} out of range 0..{n - 1}")
         val = np.array([v for _, v in pairs], dtype=float).reshape(len(pairs))
@@ -194,19 +200,6 @@ class Tensor:
     def max_abs(self):
         return float(np.abs(self._val).max()) if self.nnz else 0.0
 
-    def scaled(self, factor):
-        return Tensor(self.order, self.dim, zip(self._idx, factor * self._val))
-
-    def __add__(self, other):
-        if not isinstance(other, Tensor) or other.order != self.order or other.dim != self.dim:
-            return NotImplemented
-        rows, slot = np.unique(np.concatenate([self._idx, other._idx]), axis=0,
-                               return_inverse=True)
-        # bincount adds in list order: a shared index gets 0 + a + b, as a + b
-        sums = np.bincount(slot, weights=np.concatenate([self._val, other._val]),
-                           minlength=len(rows))
-        return Tensor(self.order, self.dim, zip(rows, sums))
-
 
 def _reject(bad, idx, message):
     """Raise ValueError(message) naming the first row of idx that bad flags."""
@@ -253,6 +246,15 @@ def _sum_terms(x, n, terms, size):
 def identity(order, dim):
     """Identity tensor: ones on the diagonal, zero elsewhere."""
     return Tensor(order, dim, {(i,) * order: 1.0 for i in range(dim)})
+
+
+def _shifted(tensor, s, sign):
+    """s*I + sign*A for A = tensor and sign = 1.0 or -1.0, in one constructor call:
+    diagonal entry i is s + sign*a[i, .., i], dropped when it is 0."""
+    m, n, off = tensor.order, tensor.dim, tensor.off_diagonal()
+    rows = np.concatenate([tensor._idx[off], np.repeat(np.arange(n)[:, None], m, axis=1)])
+    vals = np.concatenate([sign * tensor._val[off], s + sign * tensor.diagonal()])
+    return Tensor(m, n, zip(rows, vals))
 
 
 def newton_on_support(tensor, rhs, support, x0, ax0=None):
@@ -313,10 +315,6 @@ class SpectralBracket:
     converged: bool
     shifted: bool = False
 
-    @property
-    def gap(self):
-        return self.hi - self.lo
-
 
 POWER_MAX_ITER = 10000  # power iterations per run, before and after the shift
 
@@ -362,8 +360,10 @@ def spectral_radius(tensor, tol=1e-10):
     iteration stalls on a reducible tensor, it is rerun on the diagonally
     shifted tensor B + s0*I (s0 = 1e-8 * max|b|); the shift moves every
     H-eigenvalue by exactly s0, and the returned bracket is widened by s0 on
-    each side to stay safe.
+    each side to stay safe.  tol must be finite and > 0, else ValueError.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     return _spectral_bracket(tensor, lambda lo, hi: False, tol)
 
 
@@ -392,7 +392,7 @@ def _spectral_bracket(tensor, decides, tol=1e-10):
                 lo = hi = 0.5 * (lo2 + hi2) - s0
             return lo, hi
 
-        bumped = tensor + identity(tensor.order, tensor.dim).scaled(s0)
+        bumped = _shifted(tensor, s0, 1.0)
         lo2, hi2, it2, _ = _power_iteration(
             bumped, lambda lo2, hi2: hi2 - lo2 <= tol or decides(*unshift(lo2, hi2)))
         lo, hi = unshift(lo2, hi2)

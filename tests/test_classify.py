@@ -283,7 +283,7 @@ class TestKSSplit:
             t = Tensor.from_dense(dense)
             split = ks_split(t)
             # W + N = A entrywise with no tolerance
-            assert split.W + split.N == t
+            assert np.array_equal(split.W.to_dense() + split.N.to_dense(), t.to_dense())
 
     def test_split_structure(self):
         rng = np.random.default_rng(22)
@@ -436,7 +436,7 @@ class TestMTensor:
         assert positive_witness_ok(identity(3, 3), cert.witness)
 
     def test_negated_identity_false(self):
-        t = identity(3, 3).scaled(-1.0)
+        t = Tensor(3, 3, {(i, i, i): -1.0 for i in range(3)})
         assert is_nonsingular_m_tensor(t).verdict is Verdict.CERTIFIED_FALSE
 
     def test_comparison_part_of_cubic_fixture(self):
@@ -502,8 +502,11 @@ class TestMTensor:
         # verdict is the one that comparing s with the fully converged
         # bracket of rho(s*I - A) gives
         s = float(np.max(tensor.diagonal()))
-        b = identity(tensor.order, tensor.dim).scaled(s) + tensor.scaled(-1.0)
-        full = spectral_radius(b)
+        # B entry by entry, not through the dense form: ex5_5's takes 26 GiB
+        entries = {idx: -v for idx, v in tensor.items()}
+        for i in range(tensor.dim):
+            entries[(i,) * tensor.order] = s - tensor.value((i,) * tensor.order)
+        full = spectral_radius(Tensor(tensor.order, tensor.dim, entries))
         expected = (Verdict.CERTIFIED_TRUE if s > full.hi else
                     Verdict.CERTIFIED_FALSE if s <= full.lo else Verdict.UNKNOWN)
         assert _m_check(tensor).verdict is expected
@@ -519,6 +522,15 @@ class TestMTensor:
         bracket = cert.evidence["bracket"]
         assert bracket.iterations <= 3
         assert bracket.hi < cert.evidence["s"]
+
+    @pytest.mark.parametrize("name", ["ex5_1", "ex5_3", "ex3_1"])
+    def test_spectral_route_builds_two_tensors(self, monkeypatch, name):
+        # B = s*I - W and the shifted B + s0*I, one constructor call each
+        w = ks_split(builtin_tensor(name)).W
+        built = count_calls(monkeypatch, Tensor, "__init__")
+        cert = _m_check(w)
+        assert cert.method == "spectral_bracket" and cert.evidence["bracket"].shifted
+        assert len(built) == 2
 
     def test_non_z_tensor_rejected(self):
         cert = is_nonsingular_m_tensor(builtin("ex2_1"))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tcpsolve import Tensor, builtin, classify, multistart_sparse, spectral_radius
-from tcpsolve.tensors import identity, newton_on_support
+from tcpsolve.tensors import _shifted, identity, newton_on_support
 
 
 def dense_contract(array, x):
@@ -95,6 +95,25 @@ class TestConstruction:
             Tensor(1, 2, {})
         with pytest.raises(ValueError):
             Tensor(3, 0, {})
+        # beyond int64, an in-range index could not be stored as an intp
+        with pytest.raises(ValueError, match="dimension in 1..2"):
+            Tensor(2, 2 ** 63, {})
+        with pytest.raises(ValueError, match="dimension in 1..2"):
+            Tensor(2, 2 ** 64, {(np.uint64(2 ** 63), np.uint64(0)): 1.0})
+        with pytest.raises(ValueError, match="dimension in 1..2"):
+            Tensor(2, 2 ** 70, {(2 ** 65, 0): 1.0})
+
+    @pytest.mark.parametrize("order, dim", [(2.9, 3.7), ("3", 2), (2.0, 2), (3, 2.0),
+                                            (np.float64(3.0), 2), (None, 2), (3, "2")])
+    def test_rejects_non_integer_order_and_dim(self, order, dim):
+        # nothing is truncated or parsed into an order or a dimension
+        with pytest.raises(ValueError, match="integer order"):
+            Tensor(order, dim, {})
+
+    def test_accepts_numpy_integer_order_and_dim(self):
+        t = Tensor(np.int64(3), np.uint8(2), {(0, 1, 1): 1.0})
+        assert t == Tensor(3, 2, {(0, 1, 1): 1.0})
+        assert type(t.order) is int and type(t.dim) is int
 
     def test_rejects_wrong_index_length(self):
         with pytest.raises(ValueError):
@@ -106,7 +125,8 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Tensor(3, 2, {(-1, 0, 0): 1.0})
 
-    @pytest.mark.parametrize("idx", [(0.5, 1), (1.0, 0), ("1", 0), (0, None)])
+    @pytest.mark.parametrize("idx", [(0.5, 1), (1.0, 0), ("1", 0), (0, None), (True, False),
+                                     (np.uint64(1), 0.5), (np.uint64(1), np.float64(1.0))])
     def test_rejects_non_integer_index(self, idx):
         # nothing is rounded or parsed into an integer index
         with pytest.raises(ValueError, match="indices must be integers"):
@@ -114,14 +134,31 @@ class TestConstruction:
 
     @pytest.mark.parametrize("big", [2 ** 63, 2 ** 64, 2 ** 70])
     def test_rejects_index_beyond_int64(self, big):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"index \(0, {big}\) out of range"):
             Tensor(2, 2, {(0, big): 1.0})
+        with pytest.raises(ValueError, match=rf"index \({big}, 1\) out of range"):
+            Tensor(2, 2, {(np.uint64(1), np.int64(0)): 1.0, (big, 1): 2.0})
 
     def test_accepts_numpy_integer_index(self):
         t = Tensor(3, 2, {(np.int32(1), np.uint8(0), np.int64(1)): 2.0, (0, 0, 0): 1.0})
         assert t == Tensor(3, 2, {(1, 0, 1): 2.0, (0, 0, 0): 1.0})
         assert t._idx.dtype == np.intp
         assert t.items() == (((0, 0, 0), 1.0), ((1, 0, 1), 2.0))
+
+    def test_accepts_mixed_numpy_integer_index(self):
+        # numpy promotes uint64 with a signed type to float64; such rows are
+        # still integer rows
+        t = Tensor(3, 2, {(np.uint64(1), np.int64(0), np.int8(1)): 2.0,
+                          (np.uint64(0), 0, np.int32(0)): 1.0})
+        assert t == Tensor(3, 2, {(1, 0, 1): 2.0, (0, 0, 0): 1.0})
+        assert t._idx.dtype == np.intp
+        assert t.items() == (((0, 0, 0), 1.0), ((1, 0, 1), 2.0))
+
+    @pytest.mark.parametrize("idx", [(np.uint64(2), np.int64(0)), (np.uint64(1), np.int64(-1)),
+                                     (np.uint64(2 ** 63), np.int64(0))])
+    def test_rejects_mixed_numpy_index_out_of_range(self, idx):
+        with pytest.raises(ValueError, match="out of range"):
+            Tensor(2, 2, {idx: 1.0})
 
     @pytest.mark.parametrize("array", [np.float64(2.0), np.array(2.0), np.ones(3),
                                        np.ones((2, 3))])
@@ -224,6 +261,38 @@ class TestConstruction:
         c = Tensor(3, 2, {(0, 0, 0): 2.0})
         assert a == b and hash(a) == hash(b)
         assert a != c
+
+
+class TestShifted:
+    """s*I + sign*A from A's arrays, against the dense oracle."""
+
+    def test_matches_dense_oracle(self):
+        rng = np.random.default_rng(33)
+        absent = cancelled = 0
+        for order in range(2, 6):
+            for _ in range(25):
+                dim = int(rng.integers(1, 5 if order < 5 else 4))
+                _, dense = random_tensor(rng, order, dim)
+                diag = (np.arange(dim),) * order
+                dense[diag] *= rng.random(dim) < 0.6
+                t = Tensor.from_dense(dense)
+                stored = np.flatnonzero(dense[diag])
+                absent += dim - stored.size
+                for sign in (1.0, -1.0):
+                    # a random s, and one that cancels a stored diagonal entry
+                    shifts = [float(rng.uniform(-1.0, 3.0))]
+                    shifts += [-sign * float(dense[diag][i]) for i in stored[:1]]
+                    for s in shifts:
+                        got = _shifted(t, s, sign)
+                        want = Tensor.from_dense(s * identity(order, dim).to_dense()
+                                                 + sign * dense)
+                        assert got._idx.tobytes() == want._idx.tobytes()
+                        assert got._val.tobytes() == want._val.tobytes()
+                    i = stored[:1]
+                    if i.size:
+                        cancelled += 1
+                        assert got.value((int(i[0]),) * order) == 0.0
+        assert absent > 50 and cancelled > 100
 
 
 class TestContract:
@@ -515,6 +584,12 @@ class TestSpectralRadius:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             spectral_radius(Tensor(3, 2, {(0, 0, 0): -1.0}))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_tol(self, tol):
+        # a nan tol never ends the power iteration, 0 or less rarely does
+        with pytest.raises(ValueError, match="tol must be finite and > 0"):
+            spectral_radius(Tensor(3, 2, {(0, 1, 1): 1.0, (1, 0, 0): 1.0}), tol=tol)
 
     def test_bracket_consistency(self):
         # refining the tolerance must land inside the coarse bracket
