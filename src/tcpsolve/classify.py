@@ -121,11 +121,12 @@ def satisfies_condition2(tensor):
             i, tail = idx[k], idx[:k] + idx[k + 1:]
             if tail[-1] != i:
                 sums[i, tail] = sums.get((i, tail), 0.0) + v
-    for i, tail in sorted(sums):
-        if sums[i, tail] > OFFDIAG_TOL:
-            return Certificate(
-                Verdict.CERTIFIED_FALSE, "insertion_sums", witness=(i, tail),
-                detail=f"insertion sum for i={i}, tail={tail} is {sums[i, tail]} > 0")
+    positive = [key for key, total in sums.items() if total > OFFDIAG_TOL]
+    if positive:
+        i, tail = min(positive)
+        return Certificate(
+            Verdict.CERTIFIED_FALSE, "insertion_sums", witness=(i, tail),
+            detail=f"insertion sum for i={i}, tail={tail} is {sums[i, tail]} > 0")
     return Certificate(Verdict.CERTIFIED_TRUE, "insertion_sums",
                        detail=f"{len(sums)} candidate (i, tail) pairs, all sums <= 0")
 

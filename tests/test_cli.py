@@ -49,6 +49,18 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("header", ["order=3 dim=36893488147419103232",
+                                        "order=1000000000000000000000000000000 dim=2"],
+                             ids=["dim", "order"])
+    @pytest.mark.parametrize("command, option", [("classify", "--tensor"),
+                                                 ("solve", "--problem")])
+    def test_header_the_tensor_rejects(self, capsys, tmp_path, header, command, option):
+        path = tmp_path / "huge.tcp"
+        path.write_text(f"tcp v1 {header}\n")
+        code, out, err = run(capsys, command, option, str(path))
+        assert code == 2
+        assert err.startswith(f"error: {path}: line 1: ")
+
     def test_infeasible_problem_reports_failure(self, capsys, tmp_path):
         path = tmp_path / "infeasible.tcp"
         path.write_text(INFEASIBLE)

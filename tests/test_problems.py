@@ -74,6 +74,17 @@ class TestParseErrors:
         with pytest.raises(FormatError, match="invalid order=3 dim=0"):
             parse_problem("tcp v1 order=3 dim=0\n")
 
+    @pytest.mark.parametrize("header, message", [
+        ("order=3 dim=36893488147419103232", r"dimension in 1\.\.2\*\*63-1"),
+        ("order=1000000000000000000000000000000 dim=2", "Maximum allowed dimension")],
+        ids=["dim", "order"])
+    @pytest.mark.parametrize("parse", [parse_problem, parse_tensor])
+    def test_header_the_constructor_rejects(self, header, message, parse):
+        # the Tensor constructor's ValueError is reported at the header line
+        with pytest.raises(FormatError, match=f"^line 2: .*{message}") as excinfo:
+            parse(f"# too large\ntcp v1 {header}\n")
+        assert excinfo.value.line_no == 2
+
     def test_entry_token_count(self):
         with pytest.raises(FormatError, match="line 2: entry line needs 3 indices"):
             parse_problem("tcp v1 order=3 dim=2\na 1 1 1\n")

@@ -3,6 +3,7 @@ damped BFGS update against a positive-definiteness sweep, and the
 multistart driver against known sparsest solutions of the builtins."""
 
 import itertools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from tcpsolve import (SPARSITY_TOL, SQPConfig, TCPProblem, Tensor, builtin,
                       generate_ks_instance, multistart_sparse,
                       reference_solution, sqp, sqp_solve, verify_solution)
+from tcpsolve.qp import QPResult
 from tcpsolve.sqp import (_support_solution, constraint_value, damped_bfgs,
                           infeasibility, least_squares_multipliers, merit,
                           update_penalty)
@@ -249,7 +251,7 @@ class TestSQPSolve:
         report = sqp_solve(builtin("ex5_3"), np.full(3, 0.9), config=cfg)
         assert report.iterations <= 3
         if not report.converged:
-            assert report.status in ("max_iter", "linesearch_fail", "qp_fail")
+            assert report.status in ("max_iter", "linesearch_fail")
 
     def test_l0_counts_support_above_tolerance(self):
         problem = builtin("ex5_1")
@@ -293,6 +295,38 @@ class TestSQPSolve:
         assert report.iterations == 1
         assert report.trace == ()
         assert any("no merit decrease" in note for note in report.notes)
+
+    @pytest.mark.parametrize("step", [(0.0, 0.0), (np.nan, np.nan), (1e12, 1e12),
+                                      (np.inf, -np.inf)],
+                             ids=["zero", "nan", "huge", "inf"])
+    def test_unusable_inexact_step_fails_the_search(self, monkeypatch, step):
+        # an inexact QP step that is zero, not finite or longer than 1e10 is
+        # judged by the line search like any other: no trial point of it is
+        # evaluated, the search fails, and the support solve takes over
+        seen = record_evaluations(monkeypatch)
+        marks = {}   # contractions so far when the QP returned / support began
+
+        def unusable(qp, start=None):
+            marks["qp"] = len(seen["contract"])
+            return QPResult(d=np.array(step), mu=np.zeros(qp.n),
+                            lam=np.zeros(qp.n), status="max_iter", iterations=200,
+                            residual=1.0)
+
+        def support(*args, _real=sqp._support_solution):
+            marks["support"] = len(seen["contract"])
+            return _real(*args)
+
+        monkeypatch.setattr(sqp, "solve_qp", unusable)
+        monkeypatch.setattr(sqp, "_support_solution", support)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = sqp_solve(builtin("ex5_1"), np.array([0.9, 0.9]),
+                               config=SQPConfig(max_iter=5))
+        assert report.iterations == 1
+        assert report.trace == ()
+        assert any("no merit decrease" in note for note in report.notes)
+        assert not any("unusable" in note for note in report.notes)
+        assert marks["support"] == marks["qp"]
 
     @pytest.mark.parametrize("name, x0", [("ex5_1", (0.9, 0.9)),
                                           ("ex5_4", (0.5, 0.4, 0.3, 0.2))])
@@ -363,13 +397,18 @@ class TestSQPSolve:
     @pytest.mark.parametrize("name, k", [("ex5_5", 6), ("ex5_5", 7),
                                          ("ex5_5", 19), ("ex5_3", 19)])
     def test_stuck_start_ends_at_once(self, name, k):
-        # ex5_5 start 6 gets a zero inexact QP step; at the other starts
-        # no step decreases the merit; each run stops there and the support
-        # solve finds the reference point
+        # ex5_5 start 6 gets a zero inexact QP step, which the line search
+        # rejects like the steps of the other starts, where no step
+        # decreases the merit; each run stops there and the support solve
+        # finds the reference point
         problem = builtin(name)
         report = sqp_solve(problem, *multistart_start(problem, k))
         assert report.converged
         assert report.iterations <= 5
+        assert (report.step_norm == 0.0) == ((name, k) == ("ex5_5", 6))
+        assert [note.split(": ", 1)[-1] for note in report.notes[-2:]] == [
+            "no merit decrease within 50 backtracks",
+            "linesearch_fail run completed by a Newton solve on a candidate support"]
         assert solves_both_systems(problem, report.x, SQPConfig().eps2)
         np.testing.assert_array_equal(report.x, reference_solution(name)[0])
 
@@ -397,6 +436,17 @@ class TestSQPConfig:
     def test_negative_iteration_cap_is_rejected(self):
         with pytest.raises(ValueError, match="max_iter"):
             SQPConfig(max_iter=-3)
+
+    def test_multipliers_belong_to_the_reported_point(self):
+        # -x = 1 has no nonnegative root, so no support point verifies and
+        # x stays at x0; mu and lam are the least-squares multipliers there,
+        # not the mu0 = 0, lam0 = e the run started from
+        problem = TCPProblem(Tensor(2, 1, {(0, 0): -1.0}), np.array([1.0]))
+        report = sqp_solve(problem, [0.5], config=SQPConfig(max_iter=0))
+        assert report.status == "max_iter"
+        np.testing.assert_array_equal(report.x, [0.5])
+        np.testing.assert_array_equal(report.mu, [-0.5])
+        np.testing.assert_array_equal(report.lam, [0.5])
 
     def test_zero_iterations_leaves_the_support_solve(self):
         # Newton on the support of x0 = (0.9, 0.9) reaches a verified root
