@@ -208,17 +208,12 @@ def perturbation(h_norm, gamma):
     return gamma * h_norm * min(1.0, h_norm)
 
 
-def default_start(qp):
-    """d = 0, mu = 0, lam = e: strictly positive lam keeps clear of kinks."""
-    n = qp.n
-    z = np.zeros(1 + 3 * n)
-    z[0] = EPS0
-    z[2 * n + 1:] = 1.0
-    return z
-
-
-def solve_qp(qp, start=None):
+def solve_qp(qp, mu0=0.0, lam0=1.0):
     """Drive ||H(z)|| below TOL * max(1, ||H(z0)||) by damped Newton steps.
+
+    The first iterate z0 has eps = EPS0, d = 0 and the multipliers mu0 and
+    lam0 (scalars or length-n arrays).  With eps > 0 no complementarity row
+    sits on the kink, and ||H(z0)|| >= EPS0.
 
     Equality rows are equilibrated to unit max-norm before iterating: the
     SQP outer loop hands in constraint gradients that collapse like
@@ -241,11 +236,7 @@ def solve_qp(qp, start=None):
     scale = np.where(vacuous | (row_norm <= 1e-12), 1.0, row_norm)
     inner = QP(B=qp.B, c=qp.c, Aeq=aeq / scale[:, None], h=h / scale,
                g=qp.g)
-    if start is None:
-        z = default_start(inner)
-    else:
-        z = np.asarray(start, dtype=float).copy()
-        z[n + 1:2 * n + 1] *= scale
+    z = np.concatenate([[EPS0], np.zeros(n), mu0 * scale, np.full(n, lam0)])
     zbar = np.zeros(1 + 3 * n)
     zbar[0] = EPS0
     h_val, t, r = _residual_parts(inner, z)
@@ -255,8 +246,8 @@ def solve_qp(qp, start=None):
     # an infeasible subproblem drives multipliers to infinity while ||H||
     # plateaus, which an iterate-scaled test would misread as convergence
     stop = TOL * max(1.0, h_norm)
-    # enforce gamma*eps0 < 1 and gamma*||H(z0)|| < 1 by shrinking gamma
-    gamma = min(GAMMA, 0.9 / max(EPS0, h_norm, 1e-16))
+    # enforce gamma*||H(z0)|| < 1, and so gamma*eps0 < 1, by shrinking gamma
+    gamma = min(GAMMA, 0.9 / h_norm)
     status = MAX_ITER
     iterations = 0
     decrease = SIGMA * (1.0 - gamma * EPS0)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classify
-from .qp import EPS0, QP, solve_qp
+from .qp import QP, solve_qp
 from .tensors import newton_on_support
 
 __all__ = ["SQPConfig", "SolveReport", "IterationRecord", "Verification",
@@ -298,8 +298,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
 
     for k in range(cfg.max_iter):
         sub = QP(B=b, c=ones, Aeq=jac, h=h, g=x)
-        z0 = np.concatenate([[EPS0], np.zeros(n), mu, lam])
-        qp_res = solve_qp(sub, start=z0)
+        qp_res = solve_qp(sub, mu, lam)
         iterations = k + 1
         d = qp_res.d
         if not qp_res.converged:

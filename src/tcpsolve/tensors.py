@@ -38,6 +38,11 @@ def _distinct_permutations(seq):
             yield (first,) + rest
 
 
+# the largest order a tensor may have: the work of every scan grows with the
+# order, and 62 is the largest order `generate_ks_instance` can emit
+MAX_ORDER = 62
+
+
 class Tensor:
     """Order-m, dimension-n real tensor stored as sparse coordinates.
 
@@ -51,9 +56,9 @@ class Tensor:
 
     def __init__(self, order, dim, entries):
         if not (all(isinstance(v, (int, np.integer)) for v in (order, dim))
-                and order >= 2 and 1 <= dim < 2 ** 63):
-            raise ValueError(f"tensor needs integer order >= 2 and dimension in 1..2**63-1, "
-                             f"got {order!r}, {dim!r}")
+                and 2 <= order <= MAX_ORDER and 1 <= dim < 2 ** 63):
+            raise ValueError(f"tensor needs integer order in 2..{MAX_ORDER} and dimension in "
+                             f"1..2**63-1, got {order!r}, {dim!r}")
         self.order, self.dim = m, n = int(order), int(dim)
         pairs = list(entries.items() if hasattr(entries, "items") else entries)
         keys = [k for k, _ in pairs]

@@ -50,8 +50,9 @@ class TestExitCodes:
         assert "line 2" in err
 
     @pytest.mark.parametrize("header", ["order=3 dim=36893488147419103232",
-                                        "order=1000000000000000000000000000000 dim=2"],
-                             ids=["dim", "order"])
+                                        "order=1000000000000000000000000000000 dim=2",
+                                        "order=1000000 dim=2"],
+                             ids=["dim", "order", "order-1e6"])
     @pytest.mark.parametrize("command, option", [("classify", "--tensor"),
                                                  ("solve", "--problem")])
     def test_header_the_tensor_rejects(self, capsys, tmp_path, header, command, option):

@@ -76,8 +76,9 @@ class TestParseErrors:
 
     @pytest.mark.parametrize("header, message", [
         ("order=3 dim=36893488147419103232", r"dimension in 1\.\.2\*\*63-1"),
-        ("order=1000000000000000000000000000000 dim=2", "Maximum allowed dimension")],
-        ids=["dim", "order"])
+        ("order=1000000000000000000000000000000 dim=2", r"order in 2\.\.62"),
+        ("order=1000000 dim=2", r"order in 2\.\.62")],
+        ids=["dim", "order", "order-1e6"])
     @pytest.mark.parametrize("parse", [parse_problem, parse_tensor])
     def test_header_the_constructor_rejects(self, header, message, parse):
         # the Tensor constructor's ValueError is reported at the header line
@@ -195,6 +196,10 @@ class TestParsing:
     def test_zero_entries_dropped(self):
         tensor = parse_tensor("tcp v1 order=3 dim=2\na 1 1 1 0\na 2 2 2 3\n")
         assert tensor.nnz == 1
+
+    def test_largest_order_parses(self):
+        tensor = parse_tensor("tcp v1 order=62 dim=2\n")
+        assert (tensor.order, tensor.dim, tensor.nnz) == (62, 2, 0)
 
 
 class TestSerialization:

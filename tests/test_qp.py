@@ -12,10 +12,10 @@ import itertools
 import numpy as np
 import pytest
 
-from tcpsolve import QP, builtin, solve_qp, sqp, sqp_solve
+from tcpsolve import QP, builtin, qp as qp_module, solve_qp, sqp, sqp_solve
 from tcpsolve.qp import (DROP_TOL, EPS0, GAMMA, MAX_BACKTRACKS, MAX_NEWTON_STEPS, RHO,
                          SIGMA, TOL, _fill_jacobian, _jacobian_frame, _residual_parts,
-                         chks, default_start, kkt_jacobian, kkt_residual, perturbation)
+                         chks, kkt_jacobian, kkt_residual, perturbation)
 
 
 def random_feasible_qp(rng, n):
@@ -123,10 +123,10 @@ def reference_jacobian(qp, z):
     ])
 
 
-def reference_solve_qp(qp, start=None):
-    """The smoothing Newton loop one step at a time: a fresh dense H'(z),
-    np.linalg.solve, np.linalg.norm, and the batched backtracking.
-    `solve_qp` must return the same bits."""
+def reference_solve_qp(qp, mu0=0.0, lam0=1.0):
+    """The smoothing Newton loop one step at a time from (EPS0, 0, mu0, lam0):
+    a fresh dense H'(z), np.linalg.solve, np.linalg.norm, and the batched
+    backtracking.  `solve_qp` must return the same bits."""
     n = qp.n
     row_norm = np.max(np.abs(qp.Aeq), axis=1)
     vacuous = (row_norm <= DROP_TOL) & (np.abs(qp.h) <= DROP_TOL)
@@ -134,11 +134,10 @@ def reference_solve_qp(qp, start=None):
     h = np.where(vacuous, 0.0, qp.h)
     scale = np.where(vacuous | (row_norm <= 1e-12), 1.0, row_norm)
     inner = QP(B=qp.B, c=qp.c, Aeq=aeq / scale[:, None], h=h / scale, g=qp.g)
-    if start is None:
-        z = default_start(inner)
-    else:
-        z = np.asarray(start, dtype=float).copy()
-        z[n + 1:2 * n + 1] *= scale
+    z = np.zeros(1 + 3 * n)
+    z[0] = EPS0
+    z[n + 1:2 * n + 1] = mu0 * scale
+    z[2 * n + 1:] = lam0
     zbar = np.zeros(1 + 3 * n)
     zbar[0] = EPS0
     h_val = reference_residual(inner, z)
@@ -192,9 +191,9 @@ def reference_solve_qp(qp, start=None):
     return d, mu / scale, lam, status, iterations, h_norm
 
 
-def assert_same_bits(qp, start=None):
-    res = solve_qp(qp, start=start)
-    d, mu, lam, status, iterations, residual = reference_solve_qp(qp, start=start)
+def assert_same_bits(qp, mu0=0.0, lam0=1.0):
+    res = solve_qp(qp, mu0, lam0)
+    d, mu, lam, status, iterations, residual = reference_solve_qp(qp, mu0, lam0)
     assert res.d.tobytes() == d.tobytes()
     assert res.mu.tobytes() == mu.tobytes()
     assert res.lam.tobytes() == lam.tobytes()
@@ -419,9 +418,7 @@ class TestSolveQP:
             n = int(rng.integers(1, 4))
             qp = random_feasible_qp(rng, n)
             cold = solve_qp(qp)
-            start = default_start(qp)
-            start[1:n + 1] = rng.standard_normal(n)
-            warm = solve_qp(qp, start=start)
+            warm = solve_qp(qp, rng.standard_normal(n), rng.uniform(0.0, 1.0, n))
             assert cold.converged and warm.converged
             np.testing.assert_allclose(warm.d, cold.d, atol=1e-7)
 
@@ -458,15 +455,9 @@ class TestSolveQP:
         rng = np.random.default_rng(39)
         for _ in range(60):
             qp = random_feasible_qp(rng, int(rng.integers(1, 6)))
-            start = default_start(qp)
-            start[1:] += rng.standard_normal(start.size - 1)
+            _d, mu0, lam0 = rng.standard_normal((3, qp.n))
             assert_same_bits(qp)
-            assert_same_bits(qp, start)
-            # eps = lam_0 = t_0 = 0: the first step fills row 0 on the kink
-            start[0] = 0.0
-            start[1] = -qp.g[0]
-            start[2 * qp.n + 1] = 0.0
-            assert_same_bits(qp, start)
+            assert_same_bits(qp, mu0, 1.0 + lam0)
 
     def test_random_qps_with_absent_rows_match_reference_bits(self):
         rng = np.random.default_rng(40)
@@ -482,22 +473,38 @@ class TestSolveQP:
     @pytest.mark.parametrize("name, starts", [("ex5_1", range(4)), ("ex5_4", range(3))])
     def test_sqp_subproblems_match_reference_bits(self, monkeypatch, name, starts):
         # the subproblems SQP hands in: warm starts, vanishing rows, and
-        # infeasible linearizations that stop inexact
+        # infeasible linearizations that stop inexact; every iterate of every
+        # solve keeps eps > 0, so no Jacobian it fills has a kink row
         recorded = []
+        kinks, eps = [], []
 
-        def record(sub, start=None, _real=sqp.solve_qp):
-            recorded.append((sub, start))
-            return _real(sub, start=start)
+        def record(sub, mu0, lam0, _real=sqp.solve_qp):
+            recorded.append((sub, mu0.copy(), lam0.copy()))
+            return _real(sub, mu0, lam0)
+
+        def fill(jac, index, z, t, r, _real=qp_module._fill_jacobian):
+            eps.append(z[0])
+            jac, nkink = _real(jac, index, z, t, r)
+            kinks.append(nkink)
+            return jac, nkink
+
+        def residual(qp, z, _real=qp_module._residual_parts):
+            eps.extend(np.ravel(z[..., 0]))
+            return _real(qp, z)
 
         monkeypatch.setattr(sqp, "solve_qp", record)
+        monkeypatch.setattr(qp_module, "_fill_jacobian", fill)
+        monkeypatch.setattr(qp_module, "_residual_parts", residual)
         problem = builtin(name)
         for k in starts:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(k,)))
             sqp_solve(problem, *(rng.uniform(0.0, 1.0, problem.dim) for _ in range(3)))
-        statuses = {assert_same_bits(sub, start).status for sub, start in recorded}
+        statuses = {assert_same_bits(*args).status for args in recorded}
         assert len(recorded) > 20
         if name == "ex5_4":
             assert statuses == {"converged", "max_iter"}
+        assert len(kinks) > len(recorded) and set(kinks) == {0}
+        assert min(eps) > 0.0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

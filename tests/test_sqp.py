@@ -285,8 +285,8 @@ class TestSQPSolve:
         # fails at once and the support solve takes over
         real = sqp.solve_qp
 
-        def tiny_step(qp, start=None):
-            res = real(qp, start=start)
+        def tiny_step(qp, mu0, lam0):
+            res = real(qp, mu0, lam0)
             return replace(res, d=np.full(qp.n, 1e-30))
 
         monkeypatch.setattr(sqp, "solve_qp", tiny_step)
@@ -306,7 +306,7 @@ class TestSQPSolve:
         seen = record_evaluations(monkeypatch)
         marks = {}   # contractions so far when the QP returned / support began
 
-        def unusable(qp, start=None):
+        def unusable(qp, mu0, lam0):
             marks["qp"] = len(seen["contract"])
             return QPResult(d=np.array(step), mu=np.zeros(qp.n),
                             lam=np.zeros(qp.n), status="max_iter", iterations=200,

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tcpsolve import Tensor, builtin, classify, multistart_sparse, spectral_radius
-from tcpsolve.tensors import _shifted, identity, newton_on_support
+from tcpsolve.tensors import MAX_ORDER, _shifted, identity, newton_on_support
 
 
 def dense_contract(array, x):
@@ -95,6 +95,10 @@ class TestConstruction:
             Tensor(1, 2, {})
         with pytest.raises(ValueError):
             Tensor(3, 0, {})
+        # the generator's largest order is admitted, one more is not
+        assert Tensor(MAX_ORDER, 2, {(0,) * MAX_ORDER: 1.0}).order == MAX_ORDER == 62
+        with pytest.raises(ValueError, match=r"order in 2\.\.62"):
+            Tensor(MAX_ORDER + 1, 2, {})
         # beyond int64, an in-range index could not be stored as an intp
         with pytest.raises(ValueError, match="dimension in 1..2"):
             Tensor(2, 2 ** 63, {})
