@@ -319,9 +319,14 @@ def z_function_check(tensor, num_samples=1000, seed=42):
 
     The complementarity map x -> A x^{m-1} - q is a Z-function exactly when
     its Jacobian is a Z-matrix on the nonnegative orthant; a single positive
-    off-diagonal entry at a sampled point refutes that.
+    off-diagonal entry at a sampled point refutes that.  A Z-tensor needs no
+    samples: each off-diagonal Jacobian term is a nonpositive entry times
+    nonnegative coordinates, so no sample can refute it.
     """
     _check_samples(num_samples)
+    if is_z_tensor(tensor).positive:
+        return Certificate(Verdict.SUPPORTED, "z_tensor",
+                           detail="Z-tensor: off-diagonal jacobian terms are <= 0 on x >= 0")
     n = tensor.dim
     rng = np.random.default_rng(seed)
     mask = ~np.eye(n, dtype=bool)

@@ -23,6 +23,12 @@ z = (eps, d, mu, lam) gives the square residual
 
 driven to zero by a damped Newton iteration on H'(z) dz = beta(z) zbar - H(z)
 with zbar = (eps0, 0, 0, 0) and beta(z) = gamma ||H(z)|| min(1, ||H(z)||).
+
+Aeq is square, so when it is nonsingular the feasible set is the single
+point d_N = -Aeq^-1 h.  If g + d_N >= 0, then d_N with lam = 0 and
+Aeq' mu = B d_N + c solves the KKT system exactly (Nocedal & Wright, 2nd
+ed., Sec. 16.1), and one direct solve for d and one for mu replace the
+Newton iteration whenever that point passes the iteration's own stop test.
 """
 
 from __future__ import annotations
@@ -208,12 +214,37 @@ def perturbation(h_norm, gamma):
     return gamma * h_norm * min(1.0, h_norm)
 
 
+def _direct_point(qp):
+    """z = (0, d, mu, 0) with Aeq d = -h and Aeq' mu = B d + c, or None when
+    Aeq has an absent row or is singular, d is not finite or g + d leaves
+    the orthant.
+
+    With Aeq square and nonsingular the feasible set is the single point d,
+    and when g + d >= 0 this z solves the KKT system with lam = 0.
+    """
+    if qp._any_absent:
+        return None
+    try:
+        d = np.linalg.solve(qp.Aeq, -qp.h)
+        if not (np.isfinite(d).all() and (qp.g + d >= 0.0).all()):
+            return None
+        mu = np.linalg.solve(qp.Aeq.T, qp.B @ d + qp.c)
+    except np.linalg.LinAlgError:
+        return None
+    return np.concatenate([[0.0], d, mu, np.zeros(qp.n)])
+
+
 def solve_qp(qp, mu0=0.0, lam0=1.0):
     """Drive ||H(z)|| below TOL * max(1, ||H(z0)||) by damped Newton steps.
 
     The first iterate z0 has eps = EPS0, d = 0 and the multipliers mu0 and
     lam0 (scalars or length-n arrays).  With eps > 0 no complementarity row
     sits on the kink, and ||H(z0)|| >= EPS0.
+
+    The direct point (eps = 0, d_N, mu, lam = 0) of `_direct_point`, when
+    the equilibrated QP has one, is tried first.  If its residual meets the
+    same stop test it is returned as converged with 0 iterations; otherwise
+    the Newton iteration runs from z0 as if it had not been tried.
 
     Equality rows are equilibrated to unit max-norm before iterating: the
     SQP outer loop hands in constraint gradients that collapse like
@@ -246,6 +277,14 @@ def solve_qp(qp, mu0=0.0, lam0=1.0):
     # an infeasible subproblem drives multipliers to infinity while ||H||
     # plateaus, which an iterate-scaled test would misread as convergence
     stop = TOL * max(1.0, h_norm)
+    direct = _direct_point(inner)
+    if direct is not None:
+        d_val = kkt_residual(inner, direct)
+        d_norm = math.sqrt(d_val @ d_val)
+        if d_norm <= stop:
+            _eps, d, mu, lam = _split(direct, n)
+            return QPResult(d=d, mu=mu / scale, lam=lam, status=CONVERGED,
+                            iterations=0, residual=d_norm)
     # enforce gamma*||H(z0)|| < 1, and so gamma*eps0 < 1, by shrinking gamma
     gamma = min(GAMMA, 0.9 / h_norm)
     status = MAX_ITER

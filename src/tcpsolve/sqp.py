@@ -214,14 +214,15 @@ def _verification(x, w):
 
 
 def _first_verified(problem, candidates, eps2):
-    """(x, A x^(m-1) - q) at the Newton point of the first (support, start,
-    A x^(m-1) at the start or None) candidate that verifies, or None.
+    """(x, A x^(m-1) - q) at the Newton point of the first candidate that
+    verifies, or None.  A candidate is (support, start), or (support, start,
+    A x^(m-1), Jacobian) when both are known at the start.
 
     Verified: `verify_solution` passes on all n rows of both systems at
     eps2, judged on the map value Newton returns with the point.
     """
-    for support, x0, ax0 in candidates:
-        found = newton_on_support(problem.tensor, problem.q, support, x0, ax0)
+    for support, x0, *known in candidates:
+        found = newton_on_support(problem.tensor, problem.q, support, x0, *known)
         if found is None:
             continue
         x, h = found[0], found[1] - problem.q
@@ -232,12 +233,12 @@ def _first_verified(problem, candidates, eps2):
 
 
 def _drop_one(support, x0):
-    """(support minus i, x0, None) for each i in support, smallest x0_i first."""
+    """(support minus i, x0) for each i in support, smallest x0_i first."""
     for i in support[np.argsort(x0[support], kind="stable")]:
-        yield support[support != i], x0, None
+        yield support[support != i], x0
 
 
-def _support_solution(problem, x, ax, eps2):
+def _support_solution(problem, x, ax, jac, eps2):
     """Sparsest verified point found by Newton solves on candidate supports.
 
     The SQP iterate tells which coordinates are zero, but it can stop short:
@@ -247,17 +248,17 @@ def _support_solution(problem, x, ax, eps2):
     candidate that verifies wins: the support of x, that support minus one
     coordinate, every coordinate from e, and all but one coordinate from e.
     Coordinates are then dropped one at a time while a verified point
-    remains.  ax = A x^(m-1) starts the first Newton solve when x is
-    already zero off its support.  Returns (x, A x^(m-1) - q) at that point,
-    or None when no candidate verifies.
+    remains.  ax = A x^(m-1) and jac, its Jacobian, start the first Newton
+    solve when x is already zero off its support.  Returns
+    (x, A x^(m-1) - q) at that point, or None when no candidate verifies.
     """
     ones = np.ones(problem.dim)
     support = np.flatnonzero(x > SPARSITY_TOL)
     everything = np.arange(problem.dim)
+    first = (support, x, ax, jac) if np.count_nonzero(x) == support.size else (support, x)
     found = _first_verified(problem, itertools.chain(
-        [(support, x, ax if np.count_nonzero(x) == support.size else None)],
-        _drop_one(support, x),
-        [(everything, ones, None)], _drop_one(everything, ones)), eps2)
+        [first], _drop_one(support, x),
+        [(everything, ones)], _drop_one(everything, ones)), eps2)
     best = None
     while found is not None:
         best = found
@@ -356,7 +357,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         notes.append(f"{inexact_qps} of {iterations} QP subproblems solved "
                      "inexactly")
 
-    found = _support_solution(problem, x, ax, cfg.eps2)
+    found = _support_solution(problem, x, ax, jac, cfg.eps2)
     if found is not None:
         if status != KKT:
             notes.append(f"{status} run completed by a Newton solve on "

@@ -701,6 +701,19 @@ class TestZFunctionCheck:
     def test_identity_supported(self):
         assert z_function_check(identity(3, 3)).verdict is Verdict.SUPPORTED
 
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_z_tensor_needs_no_samples(self, monkeypatch, name):
+        # on a Z-tensor every off-diagonal jacobian term is <= 0 on x >= 0,
+        # so the check answers from the entry scan without a jacobian
+        t = builtin_tensor(name)
+        z_tensor = is_z_tensor(t).positive
+        calls = count_calls(monkeypatch, Tensor, "jacobian")
+        cert = z_function_check(t)
+        assert (cert.method == "z_tensor") == z_tensor
+        assert (len(calls) == 0) == z_tensor
+        if z_tensor:
+            assert cert.verdict is Verdict.SUPPORTED and cert.evidence == {}
+
     def test_positive_coupling_refuted(self):
         # F_1 = x2^2 has dF1/dx2 = 2 x2 > 0 off the diagonal
         t = Tensor(3, 2, {(0, 1, 1): 1.0})

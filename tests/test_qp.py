@@ -123,10 +123,31 @@ def reference_jacobian(qp, z):
     ])
 
 
-def reference_solve_qp(qp, mu0=0.0, lam0=1.0):
+def reference_direct_point(qp):
+    """(0, d, mu, 0) from d = Aeq^-1 (-h) and mu = Aeq'^-1 (B d + c) when Aeq
+    is nonsingular and g + d >= 0, else None."""
+    try:
+        d = np.linalg.solve(qp.Aeq, -qp.h)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(d)) or np.any(qp.g + d < 0.0):
+        return None
+    try:
+        mu = np.linalg.solve(qp.Aeq.T, qp.B @ d + qp.c)
+    except np.linalg.LinAlgError:
+        return None
+    z = np.zeros(1 + 3 * qp.n)
+    z[1:qp.n + 1] = d
+    z[qp.n + 1:2 * qp.n + 1] = mu
+    return z
+
+
+def reference_solve_qp(qp, mu0=0.0, lam0=1.0, direct=True):
     """The smoothing Newton loop one step at a time from (EPS0, 0, mu0, lam0):
     a fresh dense H'(z), np.linalg.solve, np.linalg.norm, and the batched
-    backtracking.  `solve_qp` must return the same bits."""
+    backtracking.  With `direct`, an inner QP without absent rows first tries
+    `reference_direct_point`, taken when its residual meets the loop's stop
+    test.  `solve_qp` must return the same bits."""
     n = qp.n
     row_norm = np.max(np.abs(qp.Aeq), axis=1)
     vacuous = (row_norm <= DROP_TOL) & (np.abs(qp.h) <= DROP_TOL)
@@ -143,6 +164,12 @@ def reference_solve_qp(qp, mu0=0.0, lam0=1.0):
     h_val = reference_residual(inner, z)
     h_norm = float(np.linalg.norm(h_val))
     stop = TOL * max(1.0, h_norm)
+    z_direct = None if not direct or inner.absent.any() else reference_direct_point(inner)
+    if z_direct is not None:
+        norm = float(np.linalg.norm(reference_residual(inner, z_direct)))
+        if norm <= stop:
+            d, mu, lam = z_direct[1:n + 1], z_direct[n + 1:2 * n + 1], z_direct[2 * n + 1:]
+            return d, mu / scale, lam, "converged", 0, norm
     gamma = min(GAMMA, 0.9 / max(EPS0, h_norm, 1e-16))
     status = "max_iter"
     iterations = 0
@@ -191,9 +218,9 @@ def reference_solve_qp(qp, mu0=0.0, lam0=1.0):
     return d, mu / scale, lam, status, iterations, h_norm
 
 
-def assert_same_bits(qp, mu0=0.0, lam0=1.0):
+def assert_same_bits(qp, mu0=0.0, lam0=1.0, direct=True):
     res = solve_qp(qp, mu0, lam0)
-    d, mu, lam, status, iterations, residual = reference_solve_qp(qp, mu0, lam0)
+    d, mu, lam, status, iterations, residual = reference_solve_qp(qp, mu0, lam0, direct)
     assert res.d.tobytes() == d.tobytes()
     assert res.mu.tobytes() == mu.tobytes()
     assert res.lam.tobytes() == lam.tobytes()
@@ -379,10 +406,11 @@ class TestSolveQP:
         qp = QP(B=np.eye(2), c=np.ones(2), Aeq=np.eye(2),
                 h=np.array([-1.0, -2.0]), g=np.zeros(2))
         res = solve_qp(qp)
-        assert res.converged
+        # d_N = (1, 2) lies in the orthant: one direct KKT solve answers
+        assert res.converged and res.iterations == 0
         np.testing.assert_allclose(res.d, [1.0, 2.0], atol=1e-9)
         np.testing.assert_allclose(res.mu, [2.0, 3.0], atol=1e-8)
-        np.testing.assert_allclose(res.lam, [0.0, 0.0], atol=1e-8)
+        np.testing.assert_array_equal(res.lam, [0.0, 0.0])
 
     def test_matches_active_set_oracle(self):
         rng = np.random.default_rng(35)
@@ -470,26 +498,55 @@ class TestSolveQP:
             assert qp.absent.any()
             assert_same_bits(qp)
 
+    def test_refused_direct_point_falls_back(self, monkeypatch):
+        # a J of condition ~1e17 yields a direct point whose residual misses
+        # the stop test, and a d_N that leaves the orthant yields none; both
+        # QPs run the smoothing Newton loop as before, with no RuntimeWarning
+        tried = []
+
+        def direct_point(qp, _real=qp_module._direct_point):
+            tried.append(_real(qp))
+            return tried[-1]
+
+        monkeypatch.setattr(qp_module, "_direct_point", direct_point)
+        rng = np.random.default_rng(41)
+        q1, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        q2, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        aeq = q1 @ np.diag([1.0, 1.0, 1e-17]) @ q2.T
+        assert np.linalg.cond(aeq / np.max(np.abs(aeq), axis=1)[:, None]) > 1e16
+        near_singular = QP(B=np.eye(3), c=np.ones(3), Aeq=aeq,
+                           h=-(aeq @ rng.uniform(-1.0, 1.0, 3)), g=np.full(3, 10.0))
+        aeq = np.array([[1.0, 0.5], [0.2, 1.0]])
+        outside = QP(B=np.eye(2), c=np.ones(2), Aeq=aeq,
+                     h=-(aeq @ np.array([-1.0, 0.5])), g=np.array([0.5, 0.0]))
+        for qp in (near_singular, outside):
+            assert assert_same_bits(qp).iterations > 0
+        assert tried[0] is not None and tried[1] is None
+
     @pytest.mark.parametrize("name, starts", [("ex5_1", range(4)), ("ex5_4", range(3))])
     def test_sqp_subproblems_match_reference_bits(self, monkeypatch, name, starts):
         # the subproblems SQP hands in: warm starts, vanishing rows, and
-        # infeasible linearizations that stop inexact; every iterate of every
-        # solve keeps eps > 0, so no Jacobian it fills has a kink row
+        # infeasible linearizations that stop inexact, each solved once as
+        # is and once with the direct point switched off.  Every iterate of
+        # every smoothing Newton solve keeps eps > 0, so no Jacobian it fills
+        # has a kink row; the direct point alone has eps = 0, with lam = 0,
+        # and fills none.  Where the direct point answers, its d is the one
+        # the smoothing Newton loop reaches
         recorded = []
-        kinks, eps = [], []
+        kinks, filled, points = [], [], []
 
         def record(sub, mu0, lam0, _real=sqp.solve_qp):
             recorded.append((sub, mu0.copy(), lam0.copy()))
             return _real(sub, mu0, lam0)
 
         def fill(jac, index, z, t, r, _real=qp_module._fill_jacobian):
-            eps.append(z[0])
+            filled.append(z[0])
             jac, nkink = _real(jac, index, z, t, r)
             kinks.append(nkink)
             return jac, nkink
 
         def residual(qp, z, _real=qp_module._residual_parts):
-            eps.extend(np.ravel(z[..., 0]))
+            points.extend((row[0], not row[2 * qp.n + 1:].any()) for row in np.atleast_2d(z))
             return _real(qp, z)
 
         monkeypatch.setattr(sqp, "solve_qp", record)
@@ -499,12 +556,20 @@ class TestSolveQP:
         for k in starts:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(k,)))
             sqp_solve(problem, *(rng.uniform(0.0, 1.0, problem.dim) for _ in range(3)))
-        statuses = {assert_same_bits(*args).status for args in recorded}
+        results = [assert_same_bits(*args) for args in recorded]
+        monkeypatch.setattr(qp_module, "_direct_point", lambda qp: None)
+        loops = [assert_same_bits(*args, direct=False) for args in recorded]
         assert len(recorded) > 20
+        direct = [(res.d, loop.d) for res, loop in zip(results, loops) if res.iterations == 0]
+        assert direct and all(res.converged for res in results if res.iterations == 0)
+        for d, d_loop in direct:
+            assert np.max(np.abs(d - d_loop)) <= 1e-8 * np.max(np.abs(d_loop))
         if name == "ex5_4":
-            assert statuses == {"converged", "max_iter"}
+            assert {res.status for res in results} == {"converged", "max_iter"}
+        assert min(loop.iterations for loop in loops) > 0
         assert len(kinks) > len(recorded) and set(kinks) == {0}
-        assert min(eps) > 0.0
+        assert min(filled) > 0.0
+        assert all(eps > 0.0 or (eps == 0.0 and at_direct) for eps, at_direct in points)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -368,31 +368,48 @@ class TestSQPSolve:
     @pytest.mark.parametrize("name", ["ex5_1", "ex5_5"])
     def test_newton_start_not_contracted_again(self, monkeypatch, name):
         # when the loop's final x is zero off its support, the first Newton
-        # solve starts from the loop's own A x^(m-1), bit for bit, and does
-        # not contract x again
+        # solve starts from the loop's own A x^(m-1) and Jacobian, bit for
+        # bit, and neither contracts nor differentiates x again
         problem = builtin(name)
         seen = record_evaluations(monkeypatch)
-        given = []   # (contractions so far, start point, ax0) per Newton call
+        given = []   # (evaluations so far, start point, ax0, jac0) per Newton call
 
-        def newton(tensor, rhs, support, x0, ax0=None, _real=sqp.newton_on_support):
+        def newton(tensor, rhs, support, x0, ax0=None, jac0=None,
+                   _real=sqp.newton_on_support):
+            assert (ax0 is None) == (jac0 is None)
             if ax0 is not None:
                 start = np.zeros(problem.dim)
                 start[support] = x0[support]
-                given.append((len(seen["contract"]), start, ax0.copy()))
-            return _real(tensor, rhs, support, x0, ax0)
+                given.append(({method: len(calls) for method, calls in seen.items()},
+                              start, ax0.copy(), jac0.copy()))
+            return _real(tensor, rhs, support, x0, ax0, jac0)
 
         monkeypatch.setattr(sqp, "newton_on_support", newton)
         used = 0
         for k in range(20):
-            seen["contract"].clear()
+            for calls in seen.values():
+                calls.clear()
             given.clear()
             sqp_solve(problem, *multistart_start(problem, k))
-            for at, start, ax0 in given:
-                assert start.tobytes() in seen["contract"][:at]
-                assert start.tobytes() not in seen["contract"][at:]
+            for at, start, ax0, jac0 in given:
+                for method, calls in seen.items():
+                    assert start.tobytes() in calls[:at[method]]
+                    assert start.tobytes() not in calls[at[method]:]
                 assert ax0.tobytes() == problem.tensor.contract(start).tobytes()
+                assert jac0.tobytes() == problem.tensor.jacobian(start).tobytes()
             used += len(given)
         assert used > 0
+
+    @pytest.mark.parametrize("name", ["ex5_1", "ex5_3", "ex5_5", "ex3_1"])
+    def test_no_point_differentiated_twice(self, monkeypatch, name):
+        # over the gate's 20 starts, each sqp_solve takes at most one
+        # Jacobian per point: the support solve reuses the loop's last one
+        problem = builtin(name)
+        seen = record_evaluations(monkeypatch)
+        for k in range(20):
+            seen["jacobian"].clear()
+            sqp_solve(problem, *multistart_start(problem, k))
+            assert len(seen["jacobian"]) == len(set(seen["jacobian"]))
 
     @pytest.mark.parametrize("name, k", [("ex5_5", 6), ("ex5_5", 7),
                                          ("ex5_5", 19), ("ex5_3", 19)])
@@ -470,7 +487,8 @@ class TestSupportSolve:
         found = 0
         for mask in itertools.product((False, True), repeat=n):
             x = np.where(mask, 0.5, 0.0)
-            point = _support_solution(problem, x, problem.tensor.contract(x), eps2)
+            point = _support_solution(problem, x, problem.tensor.contract(x),
+                                      problem.tensor.jacobian(x), eps2)
             if point is None:
                 continue
             found += 1
@@ -484,7 +502,7 @@ class TestSupportSolve:
         problem = builtin(name)
         ref, tol = reference_solution(name)
         point, _ = _support_solution(problem, ref, problem.tensor.contract(ref),
-                                     SQPConfig().eps2)
+                                     problem.tensor.jacobian(ref), SQPConfig().eps2)
         np.testing.assert_allclose(point, ref, atol=tol)
         assert np.array_equal(point == 0.0, ref == 0.0)
 
