@@ -127,6 +127,7 @@ def _solve_payload(problem, result, args):
             "mu": [float(v) for v in best.mu],
             "lam": [float(v) for v in best.lam],
             "status": best.status,
+            "solved_by": best.solved_by,
             "iterations": best.iterations,
             "l0": best.l0,
             "objective": best.objective,

@@ -27,8 +27,12 @@ with zbar = (eps0, 0, 0, 0) and beta(z) = gamma ||H(z)|| min(1, ||H(z)||).
 Aeq is square, so when it is nonsingular the feasible set is the single
 point d_N = -Aeq^-1 h.  If g + d_N >= 0, then d_N with lam = 0 and
 Aeq' mu = B d_N + c solves the KKT system exactly (Nocedal & Wright, 2nd
-ed., Sec. 16.1), and one direct solve for d and one for mu replace the
-Newton iteration whenever that point passes the iteration's own stop test.
+ed., Sec. 16.1).  An absent row i leaves d_i free, and the objective
+pushes it to its bound, so the guess W = {absent rows} of active bounds
+(ibid., Sec. 16.5) again leaves one square system on the other rows F,
+whose point is a KKT point when g_F + d_F >= 0 and lam_W >= 0.  Either
+way, one direct solve for d and one for mu replace the Newton iteration
+whenever that point passes the iteration's own stop test.
 """
 
 from __future__ import annotations
@@ -215,15 +219,17 @@ def perturbation(h_norm, gamma):
 
 
 def _direct_point(qp):
-    """z = (0, d, mu, 0) with Aeq d = -h and Aeq' mu = B d + c, or None when
-    Aeq has an absent row or is singular, d is not finite or g + d leaves
-    the orthant.
+    """z = (0, d, mu, lam) that solves the KKT system exactly with the
+    bounds of the absent rows W active, or None.
 
-    With Aeq square and nonsingular the feasible set is the single point d,
-    and when g + d >= 0 this z solves the KKT system with lam = 0.
+    With no absent row, d solves Aeq d = -h, mu solves Aeq' mu = B d + c
+    and lam = 0: Aeq square and nonsingular makes d the only feasible step,
+    and g + d >= 0 makes z a KKT point.  Otherwise `_direct_point_at_bound`
+    answers.  None when the solve is singular, d is not finite or g + d
+    leaves the orthant.
     """
     if qp._any_absent:
-        return None
+        return _direct_point_at_bound(qp)
     try:
         d = np.linalg.solve(qp.Aeq, -qp.h)
         if not (np.isfinite(d).all() and (qp.g + d >= 0.0).all()):
@@ -234,6 +240,36 @@ def _direct_point(qp):
     return np.concatenate([[0.0], d, mu, np.zeros(qp.n)])
 
 
+def _direct_point_at_bound(qp):
+    """`_direct_point` of a QP with absent rows W and present rows F.
+
+    d_W = -g_W puts those coordinates on their bounds, and
+    Aeq[F,F] d_F = -h_F - Aeq[F,W] d_W meets the present rows.  Then
+    Aeq[F,F]' mu_F = (B d + c)_F, mu_W = -h_W pins the absent rows as
+    `kkt_residual` does, and lam = B d + c - Aeq' mu is 0 on F.  None also
+    when some lam_W is negative (or not a number): that bound would not
+    stay active.
+    """
+    w = qp.absent
+    f = ~w
+    present = qp.Aeq[f]
+    square = present[:, f]
+    d = -qp.g
+    try:
+        d[f] = np.linalg.solve(square, -qp.h[f] - present[:, w] @ d[w])
+        if not (np.isfinite(d).all() and (qp.g + d >= 0.0).all()):
+            return None
+        grad = qp.B @ d + qp.c
+        mu = -qp.h
+        mu[f] = np.linalg.solve(square.T, grad[f])
+    except np.linalg.LinAlgError:
+        return None
+    lam = np.where(w, grad - mu @ qp.Aeq, 0.0)
+    if not (lam >= 0.0).all():
+        return None
+    return np.concatenate([[0.0], d, mu, lam])
+
+
 def solve_qp(qp, mu0=0.0, lam0=1.0):
     """Drive ||H(z)|| below TOL * max(1, ||H(z0)||) by damped Newton steps.
 
@@ -241,10 +277,12 @@ def solve_qp(qp, mu0=0.0, lam0=1.0):
     lam0 (scalars or length-n arrays).  With eps > 0 no complementarity row
     sits on the kink, and ||H(z0)|| >= EPS0.
 
-    The direct point (eps = 0, d_N, mu, lam = 0) of `_direct_point`, when
-    the equilibrated QP has one, is tried first.  If its residual meets the
-    same stop test it is returned as converged with 0 iterations; otherwise
-    the Newton iteration runs from z0 as if it had not been tried.
+    The direct point (eps = 0, d, mu, lam) of `_direct_point`, when the
+    equilibrated QP has one, is tried first: the Newton point d_N with
+    lam = 0, or, when rows are absent, the point with the bounds of those
+    rows active.  If its residual meets the same stop test it is returned
+    as converged with 0 iterations; otherwise the Newton iteration runs
+    from z0 as if it had not been tried.
 
     Equality rows are equilibrated to unit max-norm before iterating: the
     SQP outer loop hands in constraint gradients that collapse like

@@ -94,12 +94,16 @@ class SolveReport:
     `iterations` counts every SQP outer step the run took.  When a Newton
     solve on a candidate support verifies after the loop, x is that point
     and the status is `kkt`; `step_norm` stays that of the last QP step.
+    `solved_by` reads "sqp" when the loop's own KKT test ended the run,
+    "support" when the support solve completed a run the loop left short of
+    it, and None when neither did (or for the q = 0 shortcut).
     """
 
     x: np.ndarray
     mu: np.ndarray
     lam: np.ndarray
     status: str
+    solved_by: str | None
     iterations: int
     step_norm: float
     feasibility: float
@@ -358,12 +362,16 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
                      "inexactly")
 
     found = _support_solution(problem, x, ax, jac, cfg.eps2)
+    solved_by = "sqp" if status == KKT else None
     if found is not None:
         if status != KKT:
             notes.append(f"{status} run completed by a Newton solve on "
                          "a candidate support")
+            solved_by = "support"
+        # a first Newton solve that takes no step hands back the loop's x
+        if found[0].tobytes() != x.tobytes():
+            jac = problem.tensor.jacobian(found[0])
         (x, h), status = found, KKT
-        jac = problem.tensor.jacobian(x)
     mu, lam = least_squares_multipliers(jac)
     check = _verification(x, h)
 
@@ -372,6 +380,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         mu=mu,
         lam=lam,
         status=status,
+        solved_by=solved_by,
         iterations=iterations,
         step_norm=step_norm,
         feasibility=infeasibility(x, h),
@@ -423,8 +432,8 @@ def multistart_sparse(problem, n_starts=20, seed=42, config=None):
         # A 0^(m-1) = 0 = q: the zero vector is the exact sparsest solution
         mu, lam = least_squares_multipliers(problem.tensor.jacobian(np.zeros(n)))
         report = SolveReport(
-            x=np.zeros(n), mu=mu, lam=lam, status=KKT, iterations=0,
-            step_norm=0.0, feasibility=0.0, equation_residual=0.0,
+            x=np.zeros(n), mu=mu, lam=lam, status=KKT, solved_by=None,
+            iterations=0, step_norm=0.0, feasibility=0.0, equation_residual=0.0,
             tcp_residual=0.0, objective=0.0, l0=0, start_point=np.zeros(n),
             notes=("q = 0: zero vector solves the problem exactly",))
         return MultistartResult(best=report, reports=(report,),

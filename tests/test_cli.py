@@ -92,7 +92,8 @@ class TestExitCodes:
         code, out, err = run(capsys, "solve", "--builtin", "ex5_1", "--starts", "2",
                              "--max-iter", "0", "--format", "json")
         assert code == 0
-        assert json.loads(out)["best"]["iterations"] == 0
+        best = json.loads(out)["best"]
+        assert best["iterations"] == 0 and best["solved_by"] == "support"
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
     def test_classify_without_samples_is_usage_error(self, capsys, samples):
@@ -187,6 +188,7 @@ class TestSolveOutput:
         assert payload["success_rate"] > 0.0
         best = payload["best"]
         assert best["status"] == "kkt"
+        assert best["solved_by"] == "sqp"
         assert best["l0"] == 1
         np.testing.assert_allclose(best["x"], [0.0, 0.5], atol=1e-5)
 

@@ -124,28 +124,41 @@ def reference_jacobian(qp, z):
 
 
 def reference_direct_point(qp):
-    """(0, d, mu, 0) from d = Aeq^-1 (-h) and mu = Aeq'^-1 (B d + c) when Aeq
-    is nonsingular and g + d >= 0, else None."""
+    """(0, d, mu, lam) with the bounds of the absent rows W active, else None.
+
+    F are the other rows: d_W = -g_W, Aeq[F,F] d_F = -h_F - Aeq[F,W] d_W,
+    Aeq[F,F]' mu_F = (B d + c)_F, mu_W = -h_W, lam_F = 0 and
+    lam_W = (B d + c - Aeq' mu)_W.  None when a solve is singular, d is not
+    finite, g + d < 0, or some lam_W < 0 or is not a number.  With no absent
+    row this is the Newton point d = Aeq^-1 (-h) with lam = 0."""
+    n = qp.n
+    free, bound = np.flatnonzero(~qp.absent), np.flatnonzero(qp.absent)
+    d = np.zeros(n)
+    d[bound] = -qp.g[bound]
+    rhs = -qp.h[free] - qp.Aeq[np.ix_(free, bound)] @ d[bound]
     try:
-        d = np.linalg.solve(qp.Aeq, -qp.h)
+        d[free] = np.linalg.solve(qp.Aeq[np.ix_(free, free)], rhs)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(d)) or np.any(qp.g + d < 0.0):
         return None
+    grad = qp.B @ d + qp.c
+    mu = -qp.h
     try:
-        mu = np.linalg.solve(qp.Aeq.T, qp.B @ d + qp.c)
+        mu[free] = np.linalg.solve(qp.Aeq[np.ix_(free, free)].T, grad[free])
     except np.linalg.LinAlgError:
         return None
-    z = np.zeros(1 + 3 * qp.n)
-    z[1:qp.n + 1] = d
-    z[qp.n + 1:2 * qp.n + 1] = mu
-    return z
+    lam = np.zeros(n)
+    lam[bound] = (grad - mu @ qp.Aeq)[bound]
+    if not np.all(lam >= 0.0):
+        return None
+    return np.concatenate([[0.0], d, mu, lam])
 
 
 def reference_solve_qp(qp, mu0=0.0, lam0=1.0, direct=True):
     """The smoothing Newton loop one step at a time from (EPS0, 0, mu0, lam0):
     a fresh dense H'(z), np.linalg.solve, np.linalg.norm, and the batched
-    backtracking.  With `direct`, an inner QP without absent rows first tries
+    backtracking.  With `direct`, the inner QP first tries
     `reference_direct_point`, taken when its residual meets the loop's stop
     test.  `solve_qp` must return the same bits."""
     n = qp.n
@@ -164,7 +177,7 @@ def reference_solve_qp(qp, mu0=0.0, lam0=1.0, direct=True):
     h_val = reference_residual(inner, z)
     h_norm = float(np.linalg.norm(h_val))
     stop = TOL * max(1.0, h_norm)
-    z_direct = None if not direct or inner.absent.any() else reference_direct_point(inner)
+    z_direct = reference_direct_point(inner) if direct else None
     if z_direct is not None:
         norm = float(np.linalg.norm(reference_residual(inner, z_direct)))
         if norm <= stop:
@@ -500,8 +513,10 @@ class TestSolveQP:
 
     def test_refused_direct_point_falls_back(self, monkeypatch):
         # a J of condition ~1e17 yields a direct point whose residual misses
-        # the stop test, and a d_N that leaves the orthant yields none; both
-        # QPs run the smoothing Newton loop as before, with no RuntimeWarning
+        # the stop test, and a d_N that leaves the orthant yields none; so do
+        # a guess of active bounds on the absent rows whose lam_W < 0, and
+        # one whose g_F + d_F < 0.  All run the smoothing Newton loop as
+        # before, with no RuntimeWarning
         tried = []
 
         def direct_point(qp, _real=qp_module._direct_point):
@@ -519,9 +534,33 @@ class TestSolveQP:
         aeq = np.array([[1.0, 0.5], [0.2, 1.0]])
         outside = QP(B=np.eye(2), c=np.ones(2), Aeq=aeq,
                      h=-(aeq @ np.array([-1.0, 0.5])), g=np.array([0.5, 0.0]))
-        for qp in (near_singular, outside):
+        # d_1 = -0.5 and d_0 = 1 give lam_1 = -1.5; the minimizer is d = (1, 1)
+        lam_negative = QP(B=np.eye(2), c=np.array([1.0, -1.0]),
+                          Aeq=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                          h=np.array([-1.0, 0.0]), g=np.array([0.0, 0.5]))
+        # d_1 = -1 forces d_0 = -1 below its bound; the minimizer is d = 0
+        free_outside = QP(B=np.eye(2), c=np.ones(2),
+                          Aeq=np.array([[1.0, -1.0], [0.0, 0.0]]),
+                          h=np.zeros(2), g=np.array([0.0, 1.0]))
+        for qp in (near_singular, outside, lam_negative, free_outside):
             assert assert_same_bits(qp).iterations > 0
-        assert tried[0] is not None and tried[1] is None
+        assert tried[0] is not None and tried[1:] == [None, None, None]
+        np.testing.assert_allclose(solve_qp(lam_negative).d, [1.0, 1.0], atol=1e-8)
+        np.testing.assert_allclose(solve_qp(free_outside).d, [0.0, 0.0], atol=1e-8)
+
+    def test_direct_answers_with_absent_rows_match_oracle(self):
+        # with the bounds of the absent rows guessed active, every QP the
+        # direct point answers (0 Newton steps) has the oracle's minimizer
+        rng = np.random.default_rng(42)
+        answered = 0
+        for _ in range(500):
+            qp = random_feasible_qp(rng, int(rng.integers(1, 6)))
+            res = solve_qp(qp)
+            if res.iterations == 0 and qp.absent.any():
+                oracle = active_set_oracle(qp)
+                assert np.max(np.abs(res.d - oracle)) <= 1e-8 * np.max(np.abs(oracle))
+                answered += 1
+        assert answered > 20
 
     @pytest.mark.parametrize("name, starts", [("ex5_1", range(4)), ("ex5_4", range(3))])
     def test_sqp_subproblems_match_reference_bits(self, monkeypatch, name, starts):
@@ -529,11 +568,14 @@ class TestSolveQP:
         # infeasible linearizations that stop inexact, each solved once as
         # is and once with the direct point switched off.  Every iterate of
         # every smoothing Newton solve keeps eps > 0, so no Jacobian it fills
-        # has a kink row; the direct point alone has eps = 0, with lam = 0,
-        # and fills none.  Where the direct point answers, its d is the one
-        # the smoothing Newton loop reaches
+        # has a kink row; a direct point alone has eps = 0, and fills none.
+        # Where the direct point answers, it keeps g + d >= 0 and lam >= 0
+        # exactly, and its d is the one the smoothing Newton loop reaches
+        # whenever that loop converges to a d with g + d >= 0.  On ex5_4 the
+        # loop also converges by breaking a bound by up to 1.1e-10, which a
+        # ~1e-7 entry of J turns into a d that differs in its first digit
         recorded = []
-        kinks, filled, points = [], [], []
+        kinks, filled, points, directs = [], [], [], set()
 
         def record(sub, mu0, lam0, _real=sqp.solve_qp):
             recorded.append((sub, mu0.copy(), lam0.copy()))
@@ -546,12 +588,19 @@ class TestSolveQP:
             return jac, nkink
 
         def residual(qp, z, _real=qp_module._residual_parts):
-            points.extend((row[0], not row[2 * qp.n + 1:].any()) for row in np.atleast_2d(z))
+            points.extend((row[0], row.tobytes()) for row in np.atleast_2d(z))
             return _real(qp, z)
+
+        def direct_point(qp, _real=qp_module._direct_point):
+            z = _real(qp)
+            if z is not None:
+                directs.add(z.tobytes())
+            return z
 
         monkeypatch.setattr(sqp, "solve_qp", record)
         monkeypatch.setattr(qp_module, "_fill_jacobian", fill)
         monkeypatch.setattr(qp_module, "_residual_parts", residual)
+        monkeypatch.setattr(qp_module, "_direct_point", direct_point)
         problem = builtin(name)
         for k in starts:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(k,)))
@@ -560,16 +609,22 @@ class TestSolveQP:
         monkeypatch.setattr(qp_module, "_direct_point", lambda qp: None)
         loops = [assert_same_bits(*args, direct=False) for args in recorded]
         assert len(recorded) > 20
-        direct = [(res.d, loop.d) for res, loop in zip(results, loops) if res.iterations == 0]
-        assert direct and all(res.converged for res in results if res.iterations == 0)
-        for d, d_loop in direct:
-            assert np.max(np.abs(d - d_loop)) <= 1e-8 * np.max(np.abs(d_loop))
+        direct = [(args[0], res, loop) for args, res, loop in zip(recorded, results, loops)
+                  if res.iterations == 0]
+        assert direct and all(res.converged for _sub, res, _loop in direct)
+        compared = 0
+        for sub, res, loop in direct:
+            assert np.all(sub.g + res.d >= 0.0) and np.all(res.lam >= 0.0)
+            if loop.converged and np.all(sub.g + loop.d >= 0.0):
+                assert np.max(np.abs(res.d - loop.d)) <= 1e-8 * np.max(np.abs(loop.d))
+                compared += 1
+        assert compared > 20
         if name == "ex5_4":
             assert {res.status for res in results} == {"converged", "max_iter"}
         assert min(loop.iterations for loop in loops) > 0
         assert len(kinks) > len(recorded) and set(kinks) == {0}
         assert min(filled) > 0.0
-        assert all(eps > 0.0 or (eps == 0.0 and at_direct) for eps, at_direct in points)
+        assert all(eps > 0.0 or (eps == 0.0 and z in directs) for eps, z in points)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -460,7 +460,7 @@ class TestSQPConfig:
         # not the mu0 = 0, lam0 = e the run started from
         problem = TCPProblem(Tensor(2, 1, {(0, 0): -1.0}), np.array([1.0]))
         report = sqp_solve(problem, [0.5], config=SQPConfig(max_iter=0))
-        assert report.status == "max_iter"
+        assert report.status == "max_iter" and report.solved_by is None
         np.testing.assert_array_equal(report.x, [0.5])
         np.testing.assert_array_equal(report.mu, [-0.5])
         np.testing.assert_array_equal(report.lam, [0.5])
@@ -470,7 +470,7 @@ class TestSQPConfig:
         report = sqp_solve(builtin("ex5_1"), np.array([0.9, 0.9]),
                            config=SQPConfig(max_iter=0))
         assert report.iterations == 0
-        assert report.converged
+        assert report.converged and report.solved_by == "support"
         assert solves_both_systems(builtin("ex5_1"), report.x, SQPConfig().eps2)
 
 
@@ -565,7 +565,7 @@ class TestMultistart:
         best = result.best
         np.testing.assert_array_equal(best.x, np.zeros(2))
         assert best.l0 == 0
-        assert best.iterations == 0
+        assert best.iterations == 0 and best.solved_by is None
         assert any("zero vector" in note for note in best.notes)
 
     def test_uncertified_tensor_is_flagged(self):
@@ -581,6 +581,16 @@ class TestMultistart:
     def test_no_starts_is_rejected(self, n_starts):
         with pytest.raises(ValueError, match="n_starts must be >= 1"):
             multistart_sparse(builtin("ex5_1"), n_starts=n_starts)
+
+    def test_solved_by_matches_the_completion_note(self):
+        # over the gate's ex5_5 starts, "support" marks exactly the runs
+        # that the support solve completed, and "sqp" those that the loop's
+        # own KKT test ended
+        result = multistart_sparse(builtin("ex5_5"), n_starts=20, seed=42)
+        for report in result.reports:
+            completed = any("completed by a Newton solve" in note for note in report.notes)
+            assert report.solved_by == ("support" if completed else "sqp")
+        assert {report.solved_by for report in result.reports} == {"sqp", "support"}
 
     def test_success_rate_counts_converged_runs(self):
         result = multistart_sparse(builtin("ex5_1"), n_starts=5, seed=42)
