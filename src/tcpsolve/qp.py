@@ -30,9 +30,10 @@ Aeq' mu = B d_N + c solves the KKT system exactly (Nocedal & Wright, 2nd
 ed., Sec. 16.1).  An absent row i leaves d_i free, and the objective
 pushes it to its bound, so the guess W = {absent rows} of active bounds
 (ibid., Sec. 16.5) again leaves one square system on the other rows F,
-whose point is a KKT point when g_F + d_F >= 0 and lam_W >= 0.  Either
-way, one direct solve for d and one for mu replace the Newton iteration
-whenever that point passes the iteration's own stop test.
+whose point is a KKT point when g_F + d_F >= 0 and lam_W >= 0; with no
+absent row it is d_N.  One direct solve for d and one for mu replace the
+Newton iteration whenever that point passes the iteration's own stop
+test.
 """
 
 from __future__ import annotations
@@ -222,33 +223,15 @@ def _direct_point(qp):
     """z = (0, d, mu, lam) that solves the KKT system exactly with the
     bounds of the absent rows W active, or None.
 
-    With no absent row, d solves Aeq d = -h, mu solves Aeq' mu = B d + c
-    and lam = 0: Aeq square and nonsingular makes d the only feasible step,
-    and g + d >= 0 makes z a KKT point.  Otherwise `_direct_point_at_bound`
-    answers.  None when the solve is singular, d is not finite or g + d
-    leaves the orthant.
-    """
-    if qp._any_absent:
-        return _direct_point_at_bound(qp)
-    try:
-        d = np.linalg.solve(qp.Aeq, -qp.h)
-        if not (np.isfinite(d).all() and (qp.g + d >= 0.0).all()):
-            return None
-        mu = np.linalg.solve(qp.Aeq.T, qp.B @ d + qp.c)
-    except np.linalg.LinAlgError:
-        return None
-    return np.concatenate([[0.0], d, mu, np.zeros(qp.n)])
-
-
-def _direct_point_at_bound(qp):
-    """`_direct_point` of a QP with absent rows W and present rows F.
-
     d_W = -g_W puts those coordinates on their bounds, and
-    Aeq[F,F] d_F = -h_F - Aeq[F,W] d_W meets the present rows.  Then
+    Aeq[F,F] d_F = -h_F - Aeq[F,W] d_W meets the present rows F.  Then
     Aeq[F,F]' mu_F = (B d + c)_F, mu_W = -h_W pins the absent rows as
-    `kkt_residual` does, and lam = B d + c - Aeq' mu is 0 on F.  None also
-    when some lam_W is negative (or not a number): that bound would not
-    stay active.
+    `kkt_residual` does, and lam = B d + c - Aeq' mu is 0 on F.  With no
+    absent row this is the Newton point: Aeq square and nonsingular makes d
+    the only feasible step, and g + d >= 0 makes z a KKT point with lam = 0.
+    None when a solve is singular, d is not finite, g + d leaves the
+    orthant, or some lam_W is negative (or not a number): that bound would
+    not stay active.
     """
     w = qp.absent
     f = ~w
@@ -278,9 +261,9 @@ def solve_qp(qp, mu0=0.0, lam0=1.0):
     sits on the kink, and ||H(z0)|| >= EPS0.
 
     The direct point (eps = 0, d, mu, lam) of `_direct_point`, when the
-    equilibrated QP has one, is tried first: the Newton point d_N with
-    lam = 0, or, when rows are absent, the point with the bounds of those
-    rows active.  If its residual meets the same stop test it is returned
+    equilibrated QP has one, is tried first: the point with the bounds of
+    the absent rows active, which is the Newton point d_N with lam = 0 when
+    no row is absent.  If its residual meets the same stop test it is returned
     as converged with 0 iterations; otherwise the Newton iteration runs
     from z0 as if it had not been tried.
 

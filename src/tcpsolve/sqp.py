@@ -362,12 +362,12 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
                      "inexactly")
 
     found = _support_solution(problem, x, ax, jac, cfg.eps2)
-    solved_by = "sqp" if status == KKT else None
+    solved_by = ("sqp" if status == KKT else
+                 "support" if found is not None else None)
+    if solved_by == "support":
+        notes.append(f"{status} run completed by a Newton solve on "
+                     "a candidate support")
     if found is not None:
-        if status != KKT:
-            notes.append(f"{status} run completed by a Newton solve on "
-                         "a candidate support")
-            solved_by = "support"
         # a first Newton solve that takes no step hands back the loop's x
         if found[0].tobytes() != x.tobytes():
             jac = problem.tensor.jacobian(found[0])

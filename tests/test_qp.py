@@ -570,12 +570,14 @@ class TestSolveQP:
         # every smoothing Newton solve keeps eps > 0, so no Jacobian it fills
         # has a kink row; a direct point alone has eps = 0, and fills none.
         # Where the direct point answers, it keeps g + d >= 0 and lam >= 0
-        # exactly, and its d is the one the smoothing Newton loop reaches
-        # whenever that loop converges to a d with g + d >= 0.  On ex5_4 the
-        # loop also converges by breaking a bound by up to 1.1e-10, which a
-        # ~1e-7 entry of J turns into a d that differs in its first digit
+        # exactly.  With no absent row its d is the only feasible step, so
+        # it is the d the smoothing Newton loop reaches.  With absent rows
+        # it is that d whenever the loop converges to a d with g + d >= 0:
+        # on ex5_4 the loop also converges by breaking a bound by up to
+        # 1.1e-10, which a ~1e-7 entry of J turns into a d that differs in
+        # its first digit
         recorded = []
-        kinks, filled, points, directs = [], [], [], set()
+        kinks, filled, points, directs, absent = [], [], [], set(), []
 
         def record(sub, mu0, lam0, _real=sqp.solve_qp):
             recorded.append((sub, mu0.copy(), lam0.copy()))
@@ -593,6 +595,7 @@ class TestSolveQP:
 
         def direct_point(qp, _real=qp_module._direct_point):
             z = _real(qp)
+            absent.append(qp._any_absent)
             if z is not None:
                 directs.add(z.tobytes())
             return z
@@ -605,17 +608,19 @@ class TestSolveQP:
         for k in starts:
             rng = np.random.default_rng(np.random.SeedSequence(entropy=42, spawn_key=(k,)))
             sqp_solve(problem, *(rng.uniform(0.0, 1.0, problem.dim) for _ in range(3)))
+        absent.clear()
         results = [assert_same_bits(*args) for args in recorded]
+        assert len(absent) == len(recorded)
         monkeypatch.setattr(qp_module, "_direct_point", lambda qp: None)
         loops = [assert_same_bits(*args, direct=False) for args in recorded]
         assert len(recorded) > 20
-        direct = [(args[0], res, loop) for args, res, loop in zip(recorded, results, loops)
-                  if res.iterations == 0]
-        assert direct and all(res.converged for _sub, res, _loop in direct)
+        direct = [(args[0], res, loop, any_absent) for args, res, loop, any_absent
+                  in zip(recorded, results, loops, absent) if res.iterations == 0]
+        assert direct and all(res.converged for _sub, res, _loop, _absent in direct)
         compared = 0
-        for sub, res, loop in direct:
+        for sub, res, loop, any_absent in direct:
             assert np.all(sub.g + res.d >= 0.0) and np.all(res.lam >= 0.0)
-            if loop.converged and np.all(sub.g + loop.d >= 0.0):
+            if not any_absent or (loop.converged and np.all(sub.g + loop.d >= 0.0)):
                 assert np.max(np.abs(res.d - loop.d)) <= 1e-8 * np.max(np.abs(loop.d))
                 compared += 1
         assert compared > 20
