@@ -170,7 +170,7 @@ def _m_check(tensor):
     x = ones = np.ones(tensor.dim)
     ax = tensor.contract(ones)
     if not np.all(ax > 0):
-        x, ax = newton_on_support(tensor, ones, np.arange(tensor.dim), ones, ax) or (None, None)
+        x, ax = newton_on_support(tensor, ones, np.arange(tensor.dim), ones) or (None, None)
     if x is not None and np.all(x > 0) and np.all(ax > 0):
         return Certificate(Verdict.CERTIFIED_TRUE, "positive_vector", witness=x,
                            detail="x > 0 with A x^(m-1) > 0 found")

@@ -104,11 +104,11 @@ def _start_rows(result):
 def _solve_csv(result, out):
     n = result.best.x.size
     writer = csv.writer(out)
-    writer.writerow(["start", "status", "iterations", "l0", "objective",
+    writer.writerow(["start", "status", "solved_by", "iterations", "l0", "objective",
                      "equation_residual", "tcp_residual", "feasibility"]
                     + [f"x{i + 1}" for i in range(n)])
     for k, r in enumerate(result.reports):
-        writer.writerow([k, r.status, r.iterations, r.l0, r.objective,
+        writer.writerow([k, r.status, r.solved_by or "none", r.iterations, r.l0, r.objective,
                          r.equation_residual, r.tcp_residual, r.feasibility]
                         + [float(v) for v in r.x])
 
@@ -122,6 +122,8 @@ def _solve_payload(problem, result, args):
         "starts": args.starts,
         "seed": args.seed,
         "success_rate": result.success_rate,
+        "solved_by_counts": {key: sum((r.solved_by or "none") == key for r in result.reports)
+                             for key in ("sqp", "support", "none")},
         "best": {
             "x": [float(v) for v in best.x],
             "mu": [float(v) for v in best.mu],

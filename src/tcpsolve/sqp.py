@@ -218,15 +218,14 @@ def _verification(x, w):
 
 
 def _first_verified(problem, candidates, eps2):
-    """(x, A x^(m-1) - q) at the Newton point of the first candidate that
-    verifies, or None.  A candidate is (support, start), or (support, start,
-    A x^(m-1), Jacobian) when both are known at the start.
+    """(x, A x^(m-1) - q) at the Newton point of the first (support, start)
+    candidate that verifies, or None.
 
     Verified: `verify_solution` passes on all n rows of both systems at
     eps2, judged on the map value Newton returns with the point.
     """
-    for support, x0, *known in candidates:
-        found = newton_on_support(problem.tensor, problem.q, support, x0, *known)
+    for support, x0 in candidates:
+        found = newton_on_support(problem.tensor, problem.q, support, x0)
         if found is None:
             continue
         x, h = found[0], found[1] - problem.q
@@ -242,7 +241,7 @@ def _drop_one(support, x0):
         yield support[support != i], x0
 
 
-def _support_solution(problem, x, ax, jac, eps2):
+def _support_solution(problem, x, eps2):
     """Sparsest verified point found by Newton solves on candidate supports.
 
     The SQP iterate tells which coordinates are zero, but it can stop short:
@@ -252,16 +251,14 @@ def _support_solution(problem, x, ax, jac, eps2):
     candidate that verifies wins: the support of x, that support minus one
     coordinate, every coordinate from e, and all but one coordinate from e.
     Coordinates are then dropped one at a time while a verified point
-    remains.  ax = A x^(m-1) and jac, its Jacobian, start the first Newton
-    solve when x is already zero off its support.  Returns
-    (x, A x^(m-1) - q) at that point, or None when no candidate verifies.
+    remains.  Returns (x, A x^(m-1) - q) at that point, or None when no
+    candidate verifies.
     """
     ones = np.ones(problem.dim)
     support = np.flatnonzero(x > SPARSITY_TOL)
     everything = np.arange(problem.dim)
-    first = (support, x, ax, jac) if np.count_nonzero(x) == support.size else (support, x)
     found = _first_verified(problem, itertools.chain(
-        [first], _drop_one(support, x),
+        [(support, x)], _drop_one(support, x),
         [(everything, ones)], _drop_one(everything, ones)), eps2)
     best = None
     while found is not None:
@@ -293,11 +290,10 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
     iterations = 0
     step_norm = np.inf
     inexact_qps = 0
-    # ax = A x^(m-1), h, its infeasibility and jac always belong to the
+    # h = A x^(m-1) - q, its infeasibility and jac always belong to the
     # current x: each accepted step carries the values its line search, its
     # trace record and its BFGS update computed
-    ax = problem.tensor.contract(x)
-    h = ax - problem.q
+    h = constraint_value(problem, x)
     infeas = infeasibility(x, h)
     jac = problem.tensor.jacobian(x)
 
@@ -335,8 +331,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             x_new = x + alpha * d
             # a step lost to rounding passes the test without moving x
             if not np.array_equal(x_new, x):
-                ax_new = problem.tensor.contract(x_new)
-                h_new = ax_new - problem.q
+                h_new = constraint_value(problem, x_new)
                 phi_new = merit(x_new, h_new, sigma)
                 if phi_new <= phi0 + ETA * alpha * slope:
                     break
@@ -355,23 +350,21 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         trace.append(IterationRecord(
             iteration=k, step_norm=step_norm, alpha=alpha, sigma=sigma,
             merit=phi_new, infeasibility=infeas, qp_iterations=qp_res.iterations))
-        x, ax, h, jac = x_new, ax_new, h_new, jac_new
+        x, h, jac = x_new, h_new, jac_new
 
     if inexact_qps > 1:
         notes.append(f"{inexact_qps} of {iterations} QP subproblems solved "
                      "inexactly")
 
-    found = _support_solution(problem, x, ax, jac, cfg.eps2)
+    found = _support_solution(problem, x, cfg.eps2)
     solved_by = ("sqp" if status == KKT else
                  "support" if found is not None else None)
     if solved_by == "support":
         notes.append(f"{status} run completed by a Newton solve on "
                      "a candidate support")
     if found is not None:
-        # a first Newton solve that takes no step hands back the loop's x
-        if found[0].tobytes() != x.tobytes():
-            jac = problem.tensor.jacobian(found[0])
         (x, h), status = found, KKT
+        jac = problem.tensor.jacobian(x)
     mu, lam = least_squares_multipliers(jac)
     check = _verification(x, h)
 

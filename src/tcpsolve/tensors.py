@@ -262,7 +262,7 @@ def _shifted(tensor, s, sign):
     return Tensor(m, n, zip(rows, vals))
 
 
-def newton_on_support(tensor, rhs, support, x0, ax0=None, jac0=None):
+def newton_on_support(tensor, rhs, support, x0):
     """Damped Newton on (A x^{m-1})_S = rhs_S with x = 0 off S and x_S > 0.
 
     S is the index array `support`; x0 gives the start on S and must be
@@ -271,25 +271,21 @@ def newton_on_support(tensor, rhs, support, x0, ax0=None, jac0=None):
     The iteration ends after 60 steps, or sooner when that residual reaches
     roundoff or no halving helps.  Returns the last iterate x with the full
     A x^{m-1} there, or None when the Jacobian block on S is singular or
-    the step is not finite; callers verify the point.  A caller that holds
-    A x^{m-1} at the start point (x0 on S, 0 off S) passes it as ax0, and its
-    Jacobian there as jac0; neither is evaluated again.
+    the step is not finite; callers verify the point.
     """
     x = np.zeros(tensor.dim)
     x[support] = x0[support]
-    ax = tensor.contract(x) if ax0 is None else ax0
+    ax = tensor.contract(x)
     if support.size == 0:
         return x, ax
     rhs = rhs[support]
     r = ax[support] - rhs
     norm = float(np.max(np.abs(r)))
     tol = 1e-14 * max(1.0, float(np.max(np.abs(rhs))))
-    jac = jac0
     for _ in range(60):
         if norm <= tol:
             break
-        if jac is None:
-            jac = tensor.jacobian(x)
+        jac = tensor.jacobian(x)
         try:
             dx = np.linalg.solve(jac[np.ix_(support, support)], -r)
         except np.linalg.LinAlgError:
@@ -309,7 +305,7 @@ def newton_on_support(tensor, rhs, support, x0, ax0=None, jac0=None):
             alpha *= 0.5
         else:
             break
-        x, ax, r, norm, jac = trial, ax_trial, r_trial, norm_trial, None
+        x, ax, r, norm = trial, ax_trial, r_trial, norm_trial
     return x, ax
 
 

@@ -474,24 +474,6 @@ class TestMTensor:
         for root, done in roots:
             assert root not in contracted[done:]
 
-    @pytest.mark.parametrize("name", BUILTIN_NAMES)
-    def test_e_contracted_once(self, monkeypatch, name):
-        # when e is no witness, Newton starts from the A e^(m-1) that the
-        # witness test has just computed
-        tensor = builtin_tensor(name)
-        ones = np.ones(tensor.dim).tobytes()
-        contracted = []
-        real_contract = Tensor.contract
-
-        def recorded(t, x):
-            if t is tensor:
-                contracted.append(np.asarray(x).tobytes())
-            return real_contract(t, x)
-
-        monkeypatch.setattr(Tensor, "contract", recorded)
-        is_nonsingular_m_tensor(tensor)
-        assert contracted.count(ones) <= 1
-
     @pytest.mark.parametrize("tensor", [ks_split(builtin_tensor(name)).W
                                         for name in BUILTIN_NAMES]
                              + [random_z_tensor(np.random.default_rng(seed),

@@ -2,12 +2,15 @@
 output: exit codes, output formats, and cross-format number agreement."""
 
 import ast
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 
-from tcpsolve import builtin, classify, cli, generate_ks_instance, parse_problem
+from tcpsolve import (builtin, classify, cli, generate_ks_instance, multistart_sparse,
+                      parse_problem)
 from tcpsolve.problems import serialize_problem, serialize_tensor
 
 INFEASIBLE = "tcp v1 order=3 dim=2\na 1 1 1 1\na 2 1 1 1\nq 0 1\n"
@@ -197,12 +200,41 @@ class TestSolveOutput:
                              "--starts", "3", "--format", "csv")
         assert code == 0
         lines = out.strip().splitlines()
-        assert lines[0] == ("start,status,iterations,l0,objective,"
+        assert lines[0] == ("start,status,solved_by,iterations,l0,objective,"
                             "equation_residual,tcp_residual,feasibility,x1,x2")
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "0"
         assert first[1] == "kkt"
+
+    def test_csv_shows_solved_by_of_every_start(self, capsys):
+        # ex5_2 at seed 42: starts 1 and 5 are completed by the support solve
+        code, out, err = run(capsys, "solve", "--builtin", "ex5_2", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        result = multistart_sparse(builtin("ex5_2"), n_starts=20, seed=42)
+        assert [row["solved_by"] for row in rows] == [r.solved_by for r in result.reports]
+        assert [int(row["start"]) for row in rows if row["solved_by"] == "support"] == [1, 5]
+
+    @pytest.mark.parametrize("name, starts, sqp_count, support_count", [
+        ("ex5_1", 20, 20, 0), ("ex5_2", 20, 18, 2), ("ex5_3", 20, 13, 7),
+        ("ex5_4", 50, 30, 20), ("ex5_5", 20, 15, 5), ("ex3_1", 20, 13, 7)])
+    def test_json_counts_solved_by_over_all_starts(self, capsys, name, starts,
+                                                   sqp_count, support_count):
+        # the gate's six runs at seed 42
+        code, out, err = run(capsys, "solve", "--builtin", name, "--starts", str(starts),
+                             "--format", "json")
+        assert code == 0
+        assert json.loads(out)["solved_by_counts"] == {
+            "sqp": sqp_count, "support": support_count, "none": 0}
+
+    def test_json_counts_runs_that_nothing_solved(self, capsys, tmp_path):
+        path = tmp_path / "infeasible.tcp"
+        path.write_text(INFEASIBLE)
+        code, out, err = run(capsys, "solve", "--problem", str(path), "--starts", "3",
+                             "--format", "json")
+        assert code == 1
+        assert json.loads(out)["solved_by_counts"] == {"sqp": 0, "support": 0, "none": 3}
 
     def test_table_and_json_agree_exactly(self, capsys):
         # the table's full-precision block must re-parse to the JSON numbers
@@ -340,6 +372,8 @@ class TestBench:
         summary = (out_dir / "summary.md").read_text()
         assert summary.count("| yes |") == 5
         assert "NO" not in summary
+        with open(out_dir / "ex5_1.csv", newline="") as f:
+            assert next(csv.DictReader(f))["solved_by"] == "sqp"
 
     def test_runs_are_reproducible(self, capsys, tmp_path):
         first = tmp_path / "run1"
