@@ -123,7 +123,7 @@ def _solve_payload(problem, result, args):
         "seed": args.seed,
         "success_rate": result.success_rate,
         "solved_by_counts": {key: sum((r.solved_by or "none") == key for r in result.reports)
-                             for key in ("sqp", "support", "none")},
+                             for key in ("sqp", "identified", "support", "none")},
         "best": {
             "x": [float(v) for v in best.x],
             "mu": [float(v) for v in best.mu],

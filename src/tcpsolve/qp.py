@@ -337,6 +337,10 @@ def solve_qp(qp, mu0=0.0, lam0=1.0):
             if dz is None or not np.isfinite(dz).all():
                 status = SINGULAR
                 break
+        # the eps row of H'(z) is the unit row, so its step is known in
+        # closed form; a solve near singularity can return it with the
+        # wrong sign and send a trial point to eps < 0
+        dz[0] = rhs[0]
         # full step first, then every backtracked candidate in one batch
         trial = z + dz
         trial_val, trial_t, trial_r = _residual_parts(inner, trial)

@@ -10,8 +10,11 @@ Newton method from `qp`, and globalizes with one Armijo backtracking line
 search on the l1 exact penalty merit, which judges every QP step.
 Lagrangian curvature is tracked by damped BFGS updates, so only constraint
 values and Jacobians of the tensor map are needed, each evaluated once per
-accepted point.  A search that finds no merit decrease ends the run, and
-every run ends with Newton solves on candidate supports of its last iterate.
+accepted point.  Once the support that the KKT residual identifies stops
+changing, a Newton solve on it that verifies ends the run inside the loop.
+A search that finds no merit decrease ends the run, and every run that
+the loop does not finish on such a solve ends with Newton solves on
+candidate supports of its last iterate.
 
 `multistart_sparse` runs the solver from a batch of seeded random starts and
 returns the sparsest verified solution, which is the intended entry point.
@@ -56,11 +59,12 @@ class SQPConfig:
     """Settings of `sqp_solve` and `multistart_sparse`.
 
     eps1 bounds the QP step 1-norm and eps2 the primal infeasibility at
-    termination; eps2 is also the tolerance at which a point from the
-    support solve must pass `verify_solution` on both systems.  max_iter
-    caps the outer iterations (0 leaves only the support solve).  eps1 and
-    eps2 must be finite and > 0 and max_iter >= 0, else ValueError.  Every
-    run records one `IterationRecord` per accepted step in its report.
+    termination; eps2 is also the tolerance at which a point from a Newton
+    solve on a support must pass `verify_solution` on both systems.
+    max_iter caps the outer iterations (0 leaves only the support solve).
+    eps1 and eps2 must be finite and > 0 and max_iter >= 0, else
+    ValueError.  Every run records one `IterationRecord` per accepted step
+    in its report.
     """
 
     eps1: float = 1e-6
@@ -92,11 +96,12 @@ class SolveReport:
     """Outcome of one SQP run.
 
     `iterations` counts every SQP outer step the run took.  When a Newton
-    solve on a candidate support verifies after the loop, x is that point
-    and the status is `kkt`; `step_norm` stays that of the last QP step.
-    `solved_by` reads "sqp" when the loop's own KKT test ended the run,
-    "support" when the support solve completed a run the loop left short of
-    it, and None when neither did (or for the q = 0 shortcut).
+    solve on a support verifies, x is that point and the status is `kkt`;
+    `step_norm` stays that of the last QP step.  `solved_by` reads "sqp"
+    when the loop's own KKT test ended the run, "identified" when a Newton
+    solve on the identified support ended it inside the loop, "support"
+    when the support solve completed a run the loop left short of both,
+    and None when none did (or for the q = 0 shortcut).
     """
 
     x: np.ndarray
@@ -241,31 +246,38 @@ def _drop_one(support, x0):
         yield support[support != i], x0
 
 
-def _support_solution(problem, x, eps2):
-    """Sparsest verified point found by Newton solves on candidate supports.
+def _descend(problem, found, eps2):
+    """Drop coordinates of a verified point one at a time while a verified
+    point remains; returns the last (x, A x^(m-1) - q), or None for None.
 
-    The SQP iterate tells which coordinates are zero, but it can stop short:
-    degenerate rows shrink a vanishing coordinate only geometrically, and
-    runs park on merit ridges.  Fixing the guessed zeros leaves a square
-    system on the support, which damped Newton settles directly.  The first
-    candidate that verifies wins: the support of x, that support minus one
-    coordinate, every coordinate from e, and all but one coordinate from e.
-    Coordinates are then dropped one at a time while a verified point
-    remains.  Returns (x, A x^(m-1) - q) at that point, or None when no
-    candidate verifies.
+    A verified point can be a solution that is not the sparsest, so every
+    Newton finish ends with this descent.
     """
-    ones = np.ones(problem.dim)
-    support = np.flatnonzero(x > SPARSITY_TOL)
-    everything = np.arange(problem.dim)
-    found = _first_verified(problem, itertools.chain(
-        [(support, x)], _drop_one(support, x),
-        [(everything, ones)], _drop_one(everything, ones)), eps2)
     best = None
     while found is not None:
         best = found
         x = best[0]
         found = _first_verified(problem, _drop_one(np.flatnonzero(x > 0.0), x), eps2)
     return best
+
+
+def _support_solution(problem, x, eps2):
+    """Sparsest verified point found by Newton solves on candidate supports.
+
+    A run the loop did not finish can still tell which coordinates are
+    zero: fixing the guessed zeros leaves a square system on the support,
+    which damped Newton settles directly.  The first candidate that
+    verifies wins: the support of x, that support minus one coordinate,
+    every coordinate from e, and all but one coordinate from e.  Then
+    `_descend` drops coordinates.  Returns (x, A x^(m-1) - q) at that
+    point, or None when no candidate verifies.
+    """
+    ones = np.ones(problem.dim)
+    support = np.flatnonzero(x > SPARSITY_TOL)
+    everything = np.arange(problem.dim)
+    return _descend(problem, _first_verified(problem, itertools.chain(
+        [(support, x)], _drop_one(support, x),
+        [(everything, ones)], _drop_one(everything, ones)), eps2), eps2)
 
 
 def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
@@ -290,6 +302,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
     iterations = 0
     step_norm = np.inf
     inexact_qps = 0
+    support = found = None
     # h = A x^(m-1) - q, its infeasibility and jac always belong to the
     # current x: each accepted step carries the values its line search, its
     # trace record and its BFGS update computed
@@ -351,17 +364,32 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             iteration=k, step_norm=step_norm, alpha=alpha, sigma=sigma,
             merit=phi_new, infeasibility=infeas, qp_iterations=qp_res.iterations))
         x, h, jac = x_new, h_new, jac_new
+        # coordinates above sqrt of the KKT residual are the identified
+        # support (Facchinei, Fischer & Kanzow 1998); once it repeats,
+        # Newton on it replaces the linear tail of a degenerate root
+        r = max(float(np.max(np.abs(h))), float(np.max(np.abs(np.minimum(x, lam)))))
+        previous, support = support, np.flatnonzero(x > np.sqrt(r))
+        if previous is not None and np.array_equal(support, previous):
+            found = _descend(problem, _first_verified(problem, [(support, x)], cfg.eps2),
+                             cfg.eps2)
+            if found is not None:
+                break
 
     if inexact_qps > 1:
         notes.append(f"{inexact_qps} of {iterations} QP subproblems solved "
                      "inexactly")
 
-    found = _support_solution(problem, x, cfg.eps2)
-    solved_by = ("sqp" if status == KKT else
-                 "support" if found is not None else None)
-    if solved_by == "support":
-        notes.append(f"{status} run completed by a Newton solve on "
-                     "a candidate support")
+    if found is not None:
+        solved_by = "identified"
+        notes.append(f"iteration {iterations - 1}: run completed by a Newton "
+                     "solve on the identified support")
+    else:
+        found = _support_solution(problem, x, cfg.eps2)
+        solved_by = ("sqp" if status == KKT else
+                     "support" if found is not None else None)
+        if solved_by == "support":
+            notes.append(f"{status} run completed by a Newton solve on "
+                         "a candidate support")
     if found is not None:
         (x, h), status = found, KKT
         jac = problem.tensor.jacobian(x)

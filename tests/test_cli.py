@@ -191,7 +191,7 @@ class TestSolveOutput:
         assert payload["success_rate"] > 0.0
         best = payload["best"]
         assert best["status"] == "kkt"
-        assert best["solved_by"] == "sqp"
+        assert best["solved_by"] == "identified"
         assert best["l0"] == 1
         np.testing.assert_allclose(best["x"], [0.0, 0.5], atol=1e-5)
 
@@ -216,17 +216,21 @@ class TestSolveOutput:
         assert [row["solved_by"] for row in rows] == [r.solved_by for r in result.reports]
         assert [int(row["start"]) for row in rows if row["solved_by"] == "support"] == [1, 5]
 
-    @pytest.mark.parametrize("name, starts, sqp_count, support_count", [
-        ("ex5_1", 20, 20, 0), ("ex5_2", 20, 18, 2), ("ex5_3", 20, 13, 7),
-        ("ex5_4", 50, 30, 20), ("ex5_5", 20, 15, 5), ("ex3_1", 20, 13, 7)])
+    @pytest.mark.parametrize("name, starts, loop_count, support_count", [
+        ("ex5_1", 20, 20, 0), ("ex5_2", 20, 18, 2), ("ex5_3", 20, 11, 9),
+        ("ex5_4", 50, 31, 19), ("ex5_5", 20, 15, 5), ("ex3_1", 20, 17, 3)])
     def test_json_counts_solved_by_over_all_starts(self, capsys, name, starts,
-                                                   sqp_count, support_count):
-        # the gate's six runs at seed 42
+                                                   loop_count, support_count):
+        # the gate's six runs at seed 42: the loop finishes loop_count
+        # starts, all on the identified support but four of ex5_1's, which
+        # end on its own KKT test
+        sqp_count = 4 if name == "ex5_1" else 0
         code, out, err = run(capsys, "solve", "--builtin", name, "--starts", str(starts),
                              "--format", "json")
         assert code == 0
         assert json.loads(out)["solved_by_counts"] == {
-            "sqp": sqp_count, "support": support_count, "none": 0}
+            "sqp": sqp_count, "identified": loop_count - sqp_count,
+            "support": support_count, "none": 0}
 
     def test_json_counts_runs_that_nothing_solved(self, capsys, tmp_path):
         path = tmp_path / "infeasible.tcp"
@@ -234,7 +238,8 @@ class TestSolveOutput:
         code, out, err = run(capsys, "solve", "--problem", str(path), "--starts", "3",
                              "--format", "json")
         assert code == 1
-        assert json.loads(out)["solved_by_counts"] == {"sqp": 0, "support": 0, "none": 3}
+        assert json.loads(out)["solved_by_counts"] == {
+            "sqp": 0, "identified": 0, "support": 0, "none": 3}
 
     def test_table_and_json_agree_exactly(self, capsys):
         # the table's full-precision block must re-parse to the JSON numbers
@@ -373,7 +378,7 @@ class TestBench:
         assert summary.count("| yes |") == 5
         assert "NO" not in summary
         with open(out_dir / "ex5_1.csv", newline="") as f:
-            assert next(csv.DictReader(f))["solved_by"] == "sqp"
+            assert next(csv.DictReader(f))["solved_by"] == "identified"
 
     def test_runs_are_reproducible(self, capsys, tmp_path):
         first = tmp_path / "run1"

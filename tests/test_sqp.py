@@ -236,15 +236,19 @@ class TestSQPSolve:
         assert check.max_violation <= cfg.eps2
 
     def test_penalty_is_monotone_along_trace(self):
-        cfg = SQPConfig()
-        report = sqp_solve(problem=builtin("ex5_1"),
-                           x0=np.array([0.4, 0.8]), config=cfg)
-        assert report.converged
-        # the final iteration only runs the termination test, so it leaves
-        # no step record behind
-        sigmas = [rec.sigma for rec in report.trace]
-        assert len(sigmas) == report.iterations - 1
-        assert all(b <= a + 1e-15 for a, b in zip(sigmas, sigmas[1:]))
+        # every accepted step leaves one record; a run that the loop's own
+        # KKT test ends takes one more iteration, which only runs the test,
+        # while an identified finish follows an accepted step
+        problem = builtin("ex5_1")
+        ends = set()
+        for start in ((np.array([0.4, 0.8]),), multistart_start(problem, 1)):
+            report = sqp_solve(problem, *start)
+            assert report.converged
+            ends.add(report.solved_by)
+            sigmas = [rec.sigma for rec in report.trace]
+            assert len(sigmas) == report.iterations - (report.solved_by == "sqp")
+            assert all(b <= a + 1e-15 for a, b in zip(sigmas, sigmas[1:]))
+        assert ends == {"identified", "sqp"}
 
     def test_iteration_budget_respected(self):
         cfg = SQPConfig(max_iter=3)
@@ -368,21 +372,41 @@ class TestSQPSolve:
     @pytest.mark.parametrize("name", ["ex5_1", "ex5_3", "ex5_5", "ex3_1"])
     def test_no_point_differentiated_twice(self, monkeypatch, name):
         # over the gate's 20 starts, the SQP loop differentiates each
-        # accepted point once, before the support solve starts
+        # accepted point once.  Newton solves on supports, whether tried on
+        # an identified support inside the loop or run by the support solve
+        # after it, are counted apart; after the last of them only the
+        # point a run returns may be differentiated
         problem = builtin(name)
-        seen = record_evaluations(monkeypatch)
-        loop = []   # the loop's Jacobian points per start
+        outside = []   # Jacobian points taken outside Newton solves
+        depth = [0]
+        ends = []   # len(outside) when each Newton solve returned
 
-        def support(*args, _real=sqp._support_solution):
-            loop.append(list(seen["jacobian"]))
-            return _real(*args)
+        def jacobian(self, x, _real=Tensor.jacobian):
+            if not depth[0]:
+                outside.append(np.asarray(x).tobytes())
+            return _real(self, x)
 
-        monkeypatch.setattr(sqp, "_support_solution", support)
+        def newton(*args, _real=sqp.newton_on_support):
+            depth[0] += 1
+            try:
+                return _real(*args)
+            finally:
+                depth[0] -= 1
+                ends.append(len(outside))
+
+        monkeypatch.setattr(Tensor, "jacobian", jacobian)
+        monkeypatch.setattr(sqp, "newton_on_support", newton)
+        labels = set()
         for k in range(20):
-            seen["jacobian"].clear()
+            outside.clear()
+            ends.clear()
             report = sqp_solve(problem, *multistart_start(problem, k))
-            assert len(loop[-1]) == len(report.trace) + 1
-            assert len(loop[-1]) == len(set(loop[-1]))
+            labels.add(report.solved_by)
+            loop = outside[:ends[-1]]
+            assert len(loop) == len(report.trace) + 1
+            assert len(loop) == len(set(loop))
+            assert outside[ends[-1]:] in ([], [report.x.tobytes()])
+        assert "identified" in labels
 
     @pytest.mark.parametrize("name, k", [("ex5_5", 6), ("ex5_5", 7),
                                          ("ex5_5", 19), ("ex5_3", 19)])
@@ -401,6 +425,25 @@ class TestSQPSolve:
             "linesearch_fail run completed by a Newton solve on a candidate support"]
         assert solves_both_systems(problem, report.x, SQPConfig().eps2)
         np.testing.assert_array_equal(report.x, reference_solution(name)[0])
+
+    @pytest.mark.parametrize("k", [1, 4, 13, 14, 16])
+    def test_identified_finish_descends(self, k):
+        # these ex5_5 starts first verify on the identified support at a
+        # point with l0 2 or 3, about 2.5e-2 from e_9; dropping coordinates
+        # from there reaches e_9 itself
+        problem = builtin("ex5_5")
+        report = sqp_solve(problem, *multistart_start(problem, k))
+        assert report.converged and report.solved_by == "identified"
+        np.testing.assert_array_equal(report.x, reference_solution("ex5_5")[0])
+
+    def test_linear_tail_is_cut(self):
+        # at ex5_4's root A x^(m-1) vanishes to order 3 in a coordinate,
+        # which the loop alone shrinks by 2/3 per step (up to 52 iterations
+        # on these starts); Newton on the identified support ends it
+        result = multistart_sparse(builtin("ex5_4"), n_starts=50, seed=42)
+        assert all(r.status == "kkt" for r in result.reports)
+        assert max(r.iterations for r in result.reports) <= 12
+        assert any(r.solved_by == "identified" for r in result.reports)
 
     @pytest.mark.parametrize("arg, value", [
         ("x0", [np.nan, 0.5]), ("x0", [0.5, 0.5, 0.5]),
@@ -577,14 +620,20 @@ class TestMultistart:
             multistart_sparse(builtin("ex5_1"), n_starts=n_starts)
 
     def test_solved_by_matches_the_completion_note(self):
-        # over the gate's ex5_5 starts, "support" marks exactly the runs
-        # that the support solve completed, and "sqp" those that the loop's
-        # own KKT test ended
-        result = multistart_sparse(builtin("ex5_5"), n_starts=20, seed=42)
-        for report in result.reports:
-            completed = any("completed by a Newton solve" in note for note in report.notes)
-            assert report.solved_by == ("support" if completed else "sqp")
-        assert {report.solved_by for report in result.reports} == {"sqp", "support"}
+        # over the gate's ex5_5 and ex5_1 starts, "support" marks exactly
+        # the runs that the support solve completed, "identified" those that
+        # a Newton solve on the identified support completed inside the
+        # loop, and "sqp" those that the loop's own KKT test ended
+        labels = set()
+        for name in ("ex5_5", "ex5_1"):
+            for report in multistart_sparse(builtin(name), n_starts=20, seed=42).reports:
+                notes = " ".join(report.notes)
+                assert report.solved_by == (
+                    "support" if "Newton solve on a candidate support" in notes else
+                    "identified" if "Newton solve on the identified support" in notes
+                    else "sqp")
+                labels.add(report.solved_by)
+        assert labels == {"sqp", "identified", "support"}
 
     def test_success_rate_counts_converged_runs(self):
         result = multistart_sparse(builtin("ex5_1"), n_starts=5, seed=42)
