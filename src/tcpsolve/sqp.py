@@ -18,16 +18,18 @@ candidate supports of its last iterate.
 
 `multistart_sparse` runs the solver from a batch of seeded random starts and
 returns the sparsest verified solution, which is the intended entry point.
+Its notes say when one exact pass over the entries cannot certify that
+A x^(m-1) = q, x >= 0 has exactly the solutions of the complementarity problem.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import classify
 from .qp import QP, solve_qp
 from .tensors import newton_on_support
 
@@ -227,9 +229,12 @@ def _first_verified(problem, candidates, eps2):
     candidate that verifies, or None.
 
     Verified: `verify_solution` passes on all n rows of both systems at
-    eps2, judged on the map value Newton returns with the point.
+    eps2, judged on the map value Newton returns with the point.  An empty
+    support is skipped when max q > eps2: its point x = 0 leaves -q.
     """
     for support, x0 in candidates:
+        if not support.size and np.max(problem.q) > eps2:
+            continue
         found = newton_on_support(problem.tensor, problem.q, support, x0)
         if found is None:
             continue
@@ -416,21 +421,21 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
 
 
 def _reformulation_notes(problem):
-    """Certify (once) that equality reformulation and TCP agree for this tensor."""
-    tags = problem.tags
-    if "condition2" not in tags:
-        tags["condition2"] = classify.satisfies_condition2(problem.tensor)
-    if "ks" not in tags:
-        tags["ks"] = classify.is_ks_tensor(problem.tensor)
-    cond2 = tags["condition2"]
-    ks = tags["ks"]
-    notes = []
-    if not (ks.positive and cond2.verdict is classify.Verdict.CERTIFIED_TRUE):
-        notes.append(
-            "equality reformulation not certified for this tensor "
-            f"(ks={ks.verdict}, insertion sums={cond2.verdict}); converged "
-            "points are stationary but may not be sparsest solutions")
-    return notes
+    """[note] when `A x^(m-1) = q, x >= 0` may miss TCP solutions, else [].
+
+    If the entries a[i, T] whose tail T lacks i sum to <= 0 in each group
+    (i, sorted T), any x >= 0 with x_i = 0 has (A x^(m-1))_i <= 0 <= q_i: every
+    TCP solution has w = 0, so both problems have the same solutions.  fsum
+    rounds correctly, so each sum has the sign of the exact one: no tolerance.
+    """
+    rows = sorted((i, tuple(sorted(tail)), v)
+                  for (i, *tail), v in problem.tensor.items() if i not in tail)
+    for (i, tail), group in itertools.groupby(rows, lambda row: row[:2]):
+        total = math.fsum(v for _, _, v in group)
+        if total > 0.0:
+            return [f"equality reformulation not certified for this tensor: row {i}, tail "
+                    f"{tail} sums to {total} > 0; TCP solutions with slack may be missed"]
+    return []
 
 
 def multistart_sparse(problem, n_starts=20, seed=42, config=None):

@@ -2,20 +2,25 @@
 damped BFGS update against a positive-definiteness sweep, and the
 multistart driver against known sparsest solutions of the builtins."""
 
+import inspect
 import itertools
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tcpsolve import (SPARSITY_TOL, SQPConfig, TCPProblem, Tensor, builtin,
-                      generate_ks_instance, multistart_sparse,
+                      classify, generate_ks_instance, multistart_sparse,
                       reference_solution, sqp, sqp_solve, verify_solution)
 from tcpsolve.qp import QPResult
 from tcpsolve.sqp import (_support_solution, constraint_value, damped_bfgs,
                           infeasibility, least_squares_multipliers, merit,
                           update_penalty)
+
+# the problems of the acceptance gate
+GATE = ("ex5_1", "ex5_2", "ex5_3", "ex5_4", "ex5_5", "ex3_1")
 
 
 def multistart_start(problem, k, seed=42):
@@ -606,13 +611,71 @@ class TestMultistart:
         root = np.linalg.solve(self.P_MATRIX.tensor.to_dense(), self.P_MATRIX.q)
         assert np.any(root < 0.0)
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
     def test_p_matrix_is_solved_or_not_certified(self):
-        # the reformulation is certified today, so a failed run says only
-        # "no start converged"
+        # a_01 = 0.627 > 0 fails the row-wise test, so a failed run says the
+        # reformulation is not certified, not only "no start converged"
         result = multistart_sparse(self.P_MATRIX, 20, seed=42)
         assert result.success_rate > 0.0 or any(
             "not certified" in note for note in result.notes)
+
+    @pytest.mark.parametrize("name", GATE)
+    def test_gate_problems_are_certified(self, name):
+        # ex3_1 included: its insertion sums are certified_false, but every
+        # row-wise group of the entries is <= 0
+        assert not multistart_sparse(builtin(name), n_starts=1, seed=42).notes
+
+    @pytest.mark.parametrize("problem, witness", [
+        (TCPProblem(builtin("ex2_1"), q=np.ones(2)), "row 1, tail (0, 0) sums to 1.0 > 0"),
+        (P_MATRIX, "row 0, tail (1,) sums to 0.627 > 0")])
+    def test_note_names_the_first_positive_group(self, problem, witness):
+        notes = multistart_sparse(problem, n_starts=1, seed=42).notes
+        assert notes[0].startswith("equality reformulation not certified")
+        assert witness in notes[0]
+
+    def test_solver_runs_no_classifier_check(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classifier check called by the solver")
+
+        for name, obj in vars(classify).items():
+            if inspect.isfunction(obj) and obj.__module__ == classify.__name__:
+                monkeypatch.setattr(classify, name, refuse)
+        for name in GATE:
+            problem = builtin(name)
+            assert multistart_sparse(problem, n_starts=2, seed=42).success_rate > 0.0
+            assert problem.tags == {}
+        assert not hasattr(sqp, "classify")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_certified_lcp_solutions_have_no_slack(self, data):
+        # order 2 against an exact oracle: solving M_SS x_S = q_S over all 2^n
+        # supports S finds every LCP solution with nonsingular M_SS; without
+        # the note each must have w = M x - q = 0.  For order 2 the row-wise
+        # test is the Z-matrix test, so half the draws are Z-matrices
+        n = data.draw(st.integers(2, 5))
+        unit = st.floats(0.0, 1.0)
+        off = st.floats(-1.0, 0.0) if data.draw(st.booleans()) else st.floats(-1.0, 1.0)
+        m = np.array([[data.draw(st.floats(0.5, 2.0) if i == j else off)
+                       for j in range(n)] for i in range(n)])
+        q = np.array([0.0 if data.draw(unit) < 0.4 else data.draw(unit) for _ in range(n)])
+        problem = TCPProblem(Tensor.from_dense(m), q)
+        notes = multistart_sparse(problem, n_starts=1, seed=42).notes
+        certified = not any("not certified" in note for note in notes)
+        assert certified == bool(np.all(m[~np.eye(n, dtype=bool)] <= 0.0))
+        if not certified:
+            return
+        tol = 1e-9 * max(1.0, float(np.max(q)))
+        for size in range(n + 1):
+            for support in map(list, itertools.combinations(range(n), size)):
+                x = np.zeros(n)
+                try:
+                    x[support] = np.linalg.solve(m[np.ix_(support, support)], q[support])
+                except np.linalg.LinAlgError:
+                    continue
+                w = m @ x - q
+                w[support] = 0.0
+                if np.all(x >= -tol) and np.all(w >= -tol):
+                    assert np.max(np.abs(w)) <= tol
 
     @pytest.mark.parametrize("n_starts", [0, -1])
     def test_no_starts_is_rejected(self, n_starts):
