@@ -341,15 +341,20 @@ def solve_qp(qp, mu0=0.0, lam0=1.0):
         # closed form; a solve near singularity can return it with the
         # wrong sign and send a trial point to eps < 0
         dz[0] = rhs[0]
-        # full step first, then every backtracked candidate in one batch
-        trial = z + dz
-        trial_val, trial_t, trial_r = _residual_parts(inner, trial)
-        trial_norm = math.sqrt(trial_val @ trial_val)
+        # full step first, then every backtracked candidate in one batch.  A
+        # pivot that is tiny but not zero gives a finite step whose residual
+        # overflows; an inf or NaN norm fails the descent tests below, so such
+        # trials are refused, not accepted, and the overflow is not an error
+        with np.errstate(over="ignore", invalid="ignore"):
+            trial = z + dz
+            trial_val, trial_t, trial_r = _residual_parts(inner, trial)
+            trial_norm = math.sqrt(trial_val @ trial_val)
         if trial_norm <= (1.0 - decrease) * h_norm:
             z, h_val, h_norm, t, r = trial, trial_val, trial_norm, trial_t, trial_r
             continue
-        trials = z + alphas[:, None] * dz
-        norms = np.linalg.norm(kkt_residual(inner, trials), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            trials = z + alphas[:, None] * dz
+            norms = np.linalg.norm(kkt_residual(inner, trials), axis=1)
         passing = np.flatnonzero(norms <= (1.0 - decrease * alphas) * h_norm)
         if passing.size == 0:
             break  # stalled line search: report as max_iter with best iterate

@@ -677,6 +677,20 @@ class TestMultistart:
                 if np.all(x >= -tol) and np.all(w >= -tol):
                     assert np.max(np.abs(w)) <= tol
 
+    def test_tiny_pivot_step_is_refused_without_overflow(self):
+        # a_21 = 3.3e-174 is a nonzero LU pivot, so a QP Newton step reaches
+        # 1e207 and its residual overflows; the trial must be refused like
+        # the singular step that a_21 = 0 gives, with the same outcome
+        def solve(a21):
+            m = np.array([[0.5, 0.375, 0, 0], [0, 1, 0, 1],
+                          [1, a21, 1, 0], [0, 0, 0, 1.0]])
+            problem = TCPProblem(Tensor.from_dense(m), np.array([0, 1.0, 0, 0]))
+            return multistart_sparse(problem, n_starts=1, seed=42)
+
+        tiny, zero = solve(3.281501752290102e-174), solve(0.0)
+        assert tiny.notes == zero.notes
+        assert np.allclose(tiny.best.x, zero.best.x)
+
     @pytest.mark.parametrize("n_starts", [0, -1])
     def test_no_starts_is_rejected(self, n_starts):
         with pytest.raises(ValueError, match="n_starts must be >= 1"):
