@@ -21,6 +21,7 @@ Classes checked, for a tensor A of order m and dimension n:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,16 +113,18 @@ def satisfies_condition2(tensor):
     entries of A over the m tuples obtained by inserting i at each position
     of the ordered tail must be <= 0.  Stored entry idx is the insertion of
     i = idx[k] at position k of idx without slot k, so one pass over the
-    entries per k builds every nonzero sum, each in position order; all
-    other pairs are vacuous.
+    entries per k collects every nonzero sum's terms; all other pairs are
+    vacuous.  fsum rounds correctly, so each sum has the sign of the exact
+    one: no tolerance.
     """
-    sums = {}
+    terms = {}
     for k in range(tensor.order):
         for idx, v in tensor.items():
             i, tail = idx[k], idx[:k] + idx[k + 1:]
             if tail[-1] != i:
-                sums[i, tail] = sums.get((i, tail), 0.0) + v
-    positive = [key for key, total in sums.items() if total > OFFDIAG_TOL]
+                terms.setdefault((i, tail), []).append(v)
+    sums = {key: math.fsum(values) for key, values in terms.items()}
+    positive = [key for key, total in sums.items() if total > 0.0]
     if positive:
         i, tail = min(positive)
         return Certificate(

@@ -298,14 +298,17 @@ def solve_qp(qp, mu0=0.0, lam0=1.0):
     # an infeasible subproblem drives multipliers to infinity while ||H||
     # plateaus, which an iterate-scaled test would misread as convergence
     stop = TOL * max(1.0, h_norm)
-    direct = _direct_point(inner)
-    if direct is not None:
-        d_val = kkt_residual(inner, direct)
-        d_norm = math.sqrt(d_val @ d_val)
-        if d_norm <= stop:
-            _eps, d, mu, lam = _split(direct, n)
-            return QPResult(d=d, mu=mu / scale, lam=lam, status=CONVERGED,
-                            iterations=0, residual=d_norm)
+    # a pivot that is tiny but not zero can give a direct point whose
+    # multipliers or residual overflow; inf or NaN fails the stop test
+    with np.errstate(over="ignore", invalid="ignore"):
+        direct = _direct_point(inner)
+        if direct is not None:
+            d_val = kkt_residual(inner, direct)
+            d_norm = math.sqrt(d_val @ d_val)
+    if direct is not None and d_norm <= stop:
+        _eps, d, mu, lam = _split(direct, n)
+        return QPResult(d=d, mu=mu / scale, lam=lam, status=CONVERGED,
+                        iterations=0, residual=d_norm)
     # enforce gamma*||H(z0)|| < 1, and so gamma*eps0 < 1, by shrinking gamma
     gamma = min(GAMMA, 0.9 / h_norm)
     status = MAX_ITER

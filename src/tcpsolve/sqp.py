@@ -103,7 +103,7 @@ class SolveReport:
     when the loop's own KKT test ended the run, "identified" when a Newton
     solve on the identified support ended it inside the loop, "support"
     when the support solve completed a run the loop left short of both,
-    and None when none did (or for the q = 0 shortcut).
+    and None when nothing verified.
     """
 
     x: np.ndarray
@@ -230,10 +230,10 @@ def _first_verified(problem, candidates, eps2):
 
     Verified: `verify_solution` passes on all n rows of both systems at
     eps2, judged on the map value Newton returns with the point.  An empty
-    support is skipped when max q > eps2: its point x = 0 leaves -q.
+    support is skipped when max |q| > eps2: its point x = 0 leaves -q.
     """
     for support, x0 in candidates:
-        if not support.size and np.max(problem.q) > eps2:
+        if not support.size and np.max(np.abs(problem.q)) > eps2:
             continue
         found = newton_on_support(problem.tensor, problem.q, support, x0)
         if found is None:
@@ -251,13 +251,15 @@ def _drop_one(support, x0):
         yield support[support != i], x0
 
 
-def _descend(problem, found, eps2):
-    """Drop coordinates of a verified point one at a time while a verified
-    point remains; returns the last (x, A x^(m-1) - q), or None for None.
-
-    A verified point can be a solution that is not the sparsest, so every
-    Newton finish ends with this descent.
+def _newton_finish(problem, candidates, eps2):
+    """(x, A x^(m-1) - q) at a verified point from Newton solves on the
+    empty support, then on each (support, start) candidate in turn, or None.
+    x = 0 verifies exactly when max |q| <= eps2, and no point is sparser;
+    from any other first verified point, coordinates are dropped one at a
+    time while a verified point remains.
     """
+    found = _first_verified(problem, itertools.chain(
+        [(np.arange(0), np.zeros(problem.dim))], candidates), eps2)
     best = None
     while found is not None:
         best = found
@@ -267,22 +269,18 @@ def _descend(problem, found, eps2):
 
 
 def _support_solution(problem, x, eps2):
-    """Sparsest verified point found by Newton solves on candidate supports.
-
-    A run the loop did not finish can still tell which coordinates are
+    """`_newton_finish` of a run the loop did not end, on the support of x,
+    that support minus one coordinate, every coordinate from e, and all but
+    one coordinate from e.  Such a run can still tell which coordinates are
     zero: fixing the guessed zeros leaves a square system on the support,
-    which damped Newton settles directly.  The first candidate that
-    verifies wins: the support of x, that support minus one coordinate,
-    every coordinate from e, and all but one coordinate from e.  Then
-    `_descend` drops coordinates.  Returns (x, A x^(m-1) - q) at that
-    point, or None when no candidate verifies.
+    which damped Newton settles directly.
     """
     ones = np.ones(problem.dim)
     support = np.flatnonzero(x > SPARSITY_TOL)
     everything = np.arange(problem.dim)
-    return _descend(problem, _first_verified(problem, itertools.chain(
+    return _newton_finish(problem, itertools.chain(
         [(support, x)], _drop_one(support, x),
-        [(everything, ones)], _drop_one(everything, ones)), eps2), eps2)
+        [(everything, ones)], _drop_one(everything, ones)), eps2)
 
 
 def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
@@ -375,8 +373,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         r = max(float(np.max(np.abs(h))), float(np.max(np.abs(np.minimum(x, lam)))))
         previous, support = support, np.flatnonzero(x > np.sqrt(r))
         if previous is not None and np.array_equal(support, previous):
-            found = _descend(problem, _first_verified(problem, [(support, x)], cfg.eps2),
-                             cfg.eps2)
+            found = _newton_finish(problem, [(support, x)], cfg.eps2)
             if found is not None:
                 break
 
@@ -453,17 +450,6 @@ def multistart_sparse(problem, n_starts=20, seed=42, config=None):
     cfg = config or SQPConfig()
     n = problem.dim
     notes = _reformulation_notes(problem)
-
-    if not np.any(problem.q):
-        # A 0^(m-1) = 0 = q: the zero vector is the exact sparsest solution
-        mu, lam = least_squares_multipliers(problem.tensor.jacobian(np.zeros(n)))
-        report = SolveReport(
-            x=np.zeros(n), mu=mu, lam=lam, status=KKT, solved_by=None,
-            iterations=0, step_norm=0.0, feasibility=0.0, equation_residual=0.0,
-            tcp_residual=0.0, objective=0.0, l0=0, start_point=np.zeros(n),
-            notes=("q = 0: zero vector solves the problem exactly",))
-        return MultistartResult(best=report, reports=(report,),
-                                success_rate=1.0, notes=tuple(notes))
 
     reports = []
     for k in range(n_starts):

@@ -269,19 +269,18 @@ def newton_on_support(tensor, rhs, support, x0):
     positive there.  Each step is cut to at most 95% of the way to the
     orthant boundary, then halved until the max-norm residual on S drops.
     The iteration ends after 60 steps, or sooner when that residual reaches
-    roundoff or no halving helps.  Returns the last iterate x with the full
-    A x^{m-1} there, or None when the Jacobian block on S is singular or
-    the step is not finite; callers verify the point.
+    roundoff (at once for an empty S, whose residual is empty) or no halving
+    helps.  Returns the last iterate x with the full A x^{m-1} there, or
+    None when the Jacobian block on S is singular or the step is not
+    finite; callers verify the point.
     """
     x = np.zeros(tensor.dim)
     x[support] = x0[support]
     ax = tensor.contract(x)
-    if support.size == 0:
-        return x, ax
     rhs = rhs[support]
     r = ax[support] - rhs
-    norm = float(np.max(np.abs(r)))
-    tol = 1e-14 * max(1.0, float(np.max(np.abs(rhs))))
+    norm = float(np.max(np.abs(r), initial=0.0))
+    tol = 1e-14 * max(1.0, float(np.max(np.abs(rhs), initial=0.0)))
     for _ in range(60):
         if norm <= tol:
             break

@@ -3,6 +3,7 @@ certificate invariants (witness re-validation, split round-trip, and the
 Z-tensor agreement between the KS check and the M check).
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -113,7 +114,7 @@ def reference_z_function(tensor, num_samples, seed):
 def reference_insertion_sums(tensor):
     """{(i, tail): insertion sum} by per-candidate lookups: collect every
     (i, tail) that some stored entry is an insertion of, then add up the m
-    insertions of each through `Tensor.value`."""
+    insertions of each through `Tensor.value`, correctly rounded."""
     m = tensor.order
     candidates = set()
     for idx, _v in tensor.items():
@@ -121,17 +122,17 @@ def reference_insertion_sums(tensor):
             i, tail = idx[k], idx[:k] + idx[k + 1:]
             if tail[-1] != i:
                 candidates.add((i, tail))
-    return {(i, tail): sum(tensor.value(tail[:p] + (i,) + tail[p:]) for p in range(m))
+    return {(i, tail): math.fsum(tensor.value(tail[:p] + (i,) + tail[p:]) for p in range(m))
             for i, tail in candidates}
 
 
 def reference_condition2(tensor):
     """(verdict, witness, detail) of the insertion-sum check from the
-    per-candidate sums; the one-pass `satisfies_condition2` must give the
-    same, bit for bit."""
+    per-candidate sums, each compared with 0 exactly; the one-pass
+    `satisfies_condition2` must give the same, bit for bit."""
     sums = reference_insertion_sums(tensor)
     for i, tail in sorted(sums):
-        if sums[i, tail] > OFFDIAG_TOL:
+        if sums[i, tail] > 0.0:
             return (Verdict.CERTIFIED_FALSE, (i, tail),
                     f"insertion sum for i={i}, tail={tail} is {sums[i, tail]} > 0")
     return (Verdict.CERTIFIED_TRUE, None,
@@ -337,9 +338,9 @@ class TestCondition2:
                 for tail in itertools.product(range(dim), repeat=order - 1):
                     if tail[-1] == i:
                         continue
-                    total = sum(dense[tail[:p] + (i,) + tail[p:]]
-                                for p in range(order))
-                    if total > 1e-12:
+                    total = math.fsum(dense[tail[:p] + (i,) + tail[p:]]
+                                      for p in range(order))
+                    if total > 0.0:
                         violated = True
             cert = satisfies_condition2(t)
             assert cert.verdict is (Verdict.CERTIFIED_FALSE if violated
@@ -361,11 +362,19 @@ class TestCondition2:
     def test_sums_add_in_position_order(self):
         # the insertions of i = 1 into tail (0, 0) are, by position, entries
         # (1,0,0), (0,1,0), (0,0,1): stored order is the reverse, and
-        # 0.7 + 0.2 - 0.3 rounds differently from -0.3 + 0.2 + 0.7
+        # 0.7 + 0.2 - 0.3 rounds differently from -0.3 + 0.2 + 0.7; the
+        # correctly rounded sum is neither addition order's
         t = Tensor(3, 2, {(1, 0, 0): 0.7, (0, 1, 0): 0.2, (0, 0, 1): -0.3})
         cert = satisfies_condition2(t)
         assert (cert.verdict, cert.witness, cert.detail) == reference_condition2(t)
-        assert cert.detail.endswith(f"is {0.7 + 0.2 - 0.3} > 0")
+        assert 0.7 + 0.2 - 0.3 != 0.6
+        assert cert.detail.endswith("is 0.6 > 0")
+
+    def test_tiny_positive_sum_is_false(self):
+        # a_01 + a_10 = 1e-13 > 0: an exact sign, with no tolerance to hide it
+        cert = satisfies_condition2(Tensor.from_dense([[1.0, 1e-13], [0.0, 1.0]]))
+        assert cert.verdict is Verdict.CERTIFIED_FALSE
+        assert cert.witness == (0, (1,))
 
     def test_no_entry_lookups(self, monkeypatch):
         tensors = [builtin_tensor(name) for name in BUILTIN_NAMES]

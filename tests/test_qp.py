@@ -160,7 +160,8 @@ def reference_solve_qp(qp, mu0=0.0, lam0=1.0, direct=True):
     a fresh dense H'(z), np.linalg.solve, np.linalg.norm, and the batched
     backtracking.  With `direct`, the inner QP first tries
     `reference_direct_point`, taken when its residual meets the loop's stop
-    test.  `solve_qp` must return the same bits."""
+    test, which a point or residual that overflows fails.  `solve_qp` must
+    return the same bits."""
     n = qp.n
     row_norm = np.max(np.abs(qp.Aeq), axis=1)
     vacuous = (row_norm <= DROP_TOL) & (np.abs(qp.h) <= DROP_TOL)
@@ -177,12 +178,13 @@ def reference_solve_qp(qp, mu0=0.0, lam0=1.0, direct=True):
     h_val = reference_residual(inner, z)
     h_norm = float(np.linalg.norm(h_val))
     stop = TOL * max(1.0, h_norm)
-    z_direct = reference_direct_point(inner) if direct else None
-    if z_direct is not None:
-        norm = float(np.linalg.norm(reference_residual(inner, z_direct)))
-        if norm <= stop:
-            d, mu, lam = z_direct[1:n + 1], z_direct[n + 1:2 * n + 1], z_direct[2 * n + 1:]
-            return d, mu / scale, lam, "converged", 0, norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        z_direct = reference_direct_point(inner) if direct else None
+        if z_direct is not None:
+            norm = float(np.linalg.norm(reference_residual(inner, z_direct)))
+    if z_direct is not None and norm <= stop:
+        d, mu, lam = z_direct[1:n + 1], z_direct[n + 1:2 * n + 1], z_direct[2 * n + 1:]
+        return d, mu / scale, lam, "converged", 0, norm
     gamma = min(GAMMA, 0.9 / max(EPS0, h_norm, 1e-16))
     status = "max_iter"
     iterations = 0
@@ -516,8 +518,9 @@ class TestSolveQP:
         # a J of condition ~1e17 yields a direct point whose residual misses
         # the stop test, and a d_N that leaves the orthant yields none; so do
         # a guess of active bounds on the absent rows whose lam_W < 0, and
-        # one whose g_F + d_F < 0.  All run the smoothing Newton loop as
-        # before, with no RuntimeWarning
+        # one whose g_F + d_F < 0.  A pivot of 1e-157 gives a finite d that
+        # sends mu to inf, so the point's residual fails the stop test.  All
+        # run the smoothing Newton loop as before, with no RuntimeWarning
         tried = []
 
         def direct_point(qp, _real=qp_module._direct_point):
@@ -543,9 +546,13 @@ class TestSolveQP:
         free_outside = QP(B=np.eye(2), c=np.ones(2),
                           Aeq=np.array([[1.0, -1.0], [0.0, 0.0]]),
                           h=np.zeros(2), g=np.array([0.0, 1.0]))
-        for qp in (near_singular, outside, lam_negative, free_outside):
+        # d = (5e156, -1), so grad_0 = 5e156 and mu_1 = grad_0 / 1e-157
+        tiny_pivot = QP(B=np.eye(2), c=np.ones(2), Aeq=np.array([[0.0, 1.0], [1e-157, 1.0]]),
+                        h=np.array([1.0, 0.5]), g=np.ones(2))
+        for qp in (near_singular, outside, lam_negative, free_outside, tiny_pivot):
             assert assert_same_bits(qp).iterations > 0
-        assert tried[0] is not None and tried[1:] == [None, None, None]
+        assert tried[0] is not None and tried[1:4] == [None, None, None]
+        assert not np.all(np.isfinite(tried[4]))
         np.testing.assert_allclose(solve_qp(lam_negative).d, [1.0, 1.0], atol=1e-8)
         np.testing.assert_allclose(solve_qp(free_outside).d, [0.0, 0.0], atol=1e-8)
 

@@ -575,17 +575,50 @@ class TestMultistart:
         result = multistart_sparse(builtin("ex3_1"), n_starts=20, seed=3)
         assert result.best.x.tolist() == [0.0, 1.0]
 
-    def test_zero_q_short_circuits(self):
+    def test_zero_q_returns_zero_from_every_start(self):
+        # x = 0 is the first Newton candidate of every finish, so q = 0 runs
+        # the same path as any q and every start ends at the zero vector
         problem = TCPProblem(
             tensor=builtin("ex2_3"), q=np.zeros(2), name="zero-q")
         result = multistart_sparse(problem, n_starts=5, seed=0)
         assert result.success_rate == 1.0
-        assert len(result.reports) == 1
-        best = result.best
-        np.testing.assert_array_equal(best.x, np.zeros(2))
-        assert best.l0 == 0
-        assert best.iterations == 0 and best.solved_by is None
-        assert any("zero vector" in note for note in best.notes)
+        assert len(result.reports) == 5
+        for report in result.reports:
+            assert report.x.tolist() == [0.0, 0.0]
+            assert report.l0 == 0 and report.solved_by is not None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_small_q_gives_zero_from_every_start(self, data):
+        # x = 0 verifies when max |q| <= eps2 and no point is sparser; mixed
+        # signs and a missing diagonal leave Newton's blocks singular
+        order, dim = data.draw(st.integers(2, 5)), data.draw(st.integers(1, 5))
+        index = st.tuples(*[st.integers(0, dim - 1)] * order)
+        entries = dict(data.draw(st.lists(st.tuples(index, st.floats(-1.0, 1.0)),
+                                          max_size=12)))
+        for i in range(dim):
+            if data.draw(st.booleans()):
+                entries[(i,) * order] = data.draw(st.floats(0.5, 2.0))
+            else:
+                entries.pop((i,) * order, None)
+        eps2 = SQPConfig().eps2
+        q = (np.zeros(dim) if data.draw(st.booleans()) else
+             np.array([data.draw(st.floats(0.0, eps2)) for _ in range(dim)]))
+        problem = TCPProblem(Tensor(order, dim, entries), q)
+        for config in (SQPConfig(), SQPConfig(max_iter=0)):
+            result = multistart_sparse(problem, n_starts=5, seed=42, config=config)
+            assert len(result.reports) == 5
+            assert all(not np.any(report.x) for report in result.reports)
+
+    def test_tiny_q_ends_at_zero_without_the_loop(self):
+        # max q = 1e-6 <= eps2: the support solve alone must return x = 0,
+        # not a dense root found after O(n^2) Newton solves
+        tensor = generate_ks_instance(3, 30, density=0.3, seed=0).tensor
+        problem = TCPProblem(tensor, np.full(30, 1e-6))
+        result = multistart_sparse(problem, n_starts=2, seed=42,
+                                   config=SQPConfig(max_iter=0))
+        assert [report.l0 for report in result.reports] == [0, 0]
+        assert all(not np.any(report.x) for report in result.reports)
 
     def test_uncertified_tensor_is_flagged(self):
         # all-ones tensor is not a P-tensor, so the reformulation note
@@ -690,6 +723,18 @@ class TestMultistart:
         tiny, zero = solve(3.281501752290102e-174), solve(0.0)
         assert tiny.notes == zero.notes
         assert np.allclose(tiny.best.x, zero.best.x)
+
+    @pytest.mark.parametrize("entries, q", [
+        ({(0, 1): 1.0, (1, 0): 1.735457519536776e-157, (1, 1): 1.0}, [0.0, 9.999999999999999e-06]),
+        ({(1, 2): 1.0, (2, 0): 1.0, (2, 1): -1.4851781740498708e-223}, [1.0, 0.0, 0.0]),
+        ({(0, 0): 1.0, (0, 1): 2.01839158599301e-308, (0, 2): 1.3280237501545668e-24,
+          (1, 0): 0.5, (2, 2): 1.0}, [1.0, 0.0, 0.0])])
+    def test_tiny_pivot_direct_point_is_refused(self, entries, q):
+        # pivots of 1e-157 to 1e-308 give finite direct QP points whose
+        # multipliers or residual overflow; each is refused like any point
+        # that misses the stop test, with no RuntimeWarning
+        problem = TCPProblem(Tensor(2, len(q), entries), np.array(q))
+        assert len(multistart_sparse(problem, n_starts=5, seed=42).reports) == 5
 
     @pytest.mark.parametrize("n_starts", [0, -1])
     def test_no_starts_is_rejected(self, n_starts):
