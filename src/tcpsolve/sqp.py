@@ -7,14 +7,17 @@ The sparsest-solution problem is relaxed to
 and solved by sequential quadratic programming: each iteration linearizes
 the equality constraint, solves the quadratic subproblem with the smoothing
 Newton method from `qp`, and globalizes with one Armijo backtracking line
-search on the l1 exact penalty merit, which judges every QP step.
+search on the l1 exact penalty merit, which judges every QP step; the
+search scores its halvings in stacked contractions (`first_passing`).
 Lagrangian curvature is tracked by damped BFGS updates, so only constraint
 values and Jacobians of the tensor map are needed, each evaluated once per
 accepted point.  Once the support that the KKT residual identifies stops
 changing, a Newton solve on it that verifies ends the run inside the loop.
 A search that finds no merit decrease ends the run, and every run that
 the loop does not finish on such a solve ends with Newton solves on
-candidate supports of its last iterate.
+candidate supports of its last iterate.  Under the row-wise certificate
+below, a candidate support that leaves out some i with q_i > eps2 cannot
+verify, and is skipped.
 
 `multistart_sparse` runs the solver from a batch of seeded random starts and
 returns the sparsest verified solution, which is the intended entry point.
@@ -25,13 +28,12 @@ A x^(m-1) = q, x >= 0 has exactly the solutions of the complementarity problem.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .qp import QP, solve_qp
-from .tensors import newton_on_support
+from .tensors import first_passing, newton_on_support
 
 __all__ = ["SQPConfig", "SolveReport", "IterationRecord", "Verification",
            "MultistartResult", "sqp_solve", "multistart_sparse", "verify_solution",
@@ -49,11 +51,13 @@ LINESEARCH_FAIL = "linesearch_fail"
 # by RHO until the Armijo condition with slope fraction ETA holds, the slope
 # capped at -1e-12 so that a flat one still demands a decrease; after
 # MAX_BACKTRACKS halvings without one the run ends as `linesearch_fail`.
+# HALVINGS holds their step lengths RHO^j, exact powers of two as in a loop.
 ETA = 0.1
 RHO = 0.5
 DELTA = 1.0
 SIGMA0 = 0.8
 MAX_BACKTRACKS = 50
+HALVINGS = RHO ** np.arange(1, MAX_BACKTRACKS + 1)
 
 
 @dataclass(frozen=True)
@@ -161,6 +165,12 @@ def merit(x, h, sigma):
     return float(np.sum(x)) + infeasibility(x, h) / sigma
 
 
+def _merits(x, h, sigma):
+    """`merit` of each row of the (k, n) stacks x and h, bit for bit."""
+    infeas = np.sum(np.abs(h), axis=1) + np.sum(np.abs(np.minimum(x, 0.0)), axis=1)
+    return np.sum(x, axis=1) + infeas / sigma
+
+
 def update_penalty(sigma, mu, lam, delta):
     """Keep sigma unless 1/sigma no longer dominates the multipliers."""
     tau = max(float(np.max(np.abs(mu), initial=0.0)),
@@ -229,11 +239,18 @@ def _first_verified(problem, candidates, eps2):
     candidate that verifies, or None.
 
     Verified: `verify_solution` passes on all n rows of both systems at
-    eps2, judged on the map value Newton returns with the point.  An empty
-    support is skipped when max |q| > eps2: its point x = 0 leaves -q.
+    eps2, judged on the map value Newton returns with the point.  A
+    candidate is skipped before any Newton work when its support leaves out
+    some i with q_i > eps2 and either the support is empty (x = 0 leaves
+    w = -q) or the tensor has the row-wise certificate of
+    `_reformulation_notes` (Newton's point is >= 0 with x_i = 0, so
+    (A x^(m-1))_i <= 0 and w_i < -eps2): its point cannot verify.
     """
+    needed = problem.q > eps2
+    count = np.count_nonzero(needed)
+    certified = problem.tensor.rowwise_witness is None
     for support, x0 in candidates:
-        if not support.size and np.max(np.abs(problem.q)) > eps2:
+        if (certified or not support.size) and np.count_nonzero(needed[support]) < count:
             continue
         found = newton_on_support(problem.tensor, problem.q, support, x0)
         if found is None:
@@ -281,6 +298,32 @@ def _support_solution(problem, x, eps2):
     return _newton_finish(problem, itertools.chain(
         [(support, x)], _drop_one(support, x),
         [(everything, ones)], _drop_one(everything, ones)), eps2)
+
+
+def _line_search(problem, x, d, h, infeas, sigma):
+    """(alpha, x + alpha*d, its h, its merit) for the first alpha = RHO^j,
+    j <= MAX_BACKTRACKS, whose point moves x and meets the Armijo condition,
+    or None; h and infeas belong to x.  A flat or uphill slope estimate
+    (roundoff at stationarity, or multipliers blown up by degenerate rows)
+    still demands a plain decrease.  The full step is tried as a point and
+    the halvings by `first_passing`.
+    """
+    slope = min(float(np.sum(d)) - infeas / sigma, -1e-12)
+    phi0 = merit(x, h, sigma)
+    x_new = x + d
+    # a step lost to rounding would pass without moving x
+    if not np.array_equal(x_new, x):
+        h_new = constraint_value(problem, x_new)
+        phi_new = merit(x_new, h_new, sigma)
+        if phi_new <= phi0 + ETA * slope:
+            return 1.0, x_new, h_new, phi_new
+    passed = first_passing(problem.tensor, x, d, HALVINGS, lambda steps, points, values: _merits(
+        points, values - problem.q, sigma) <= phi0 + ETA * steps * slope)
+    if passed is None:
+        return None
+    alpha, x_new, ax_new = passed
+    h_new = ax_new - problem.q
+    return alpha, x_new, h_new, merit(x_new, h_new, sigma)
 
 
 def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
@@ -337,26 +380,14 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         if not (step_norm <= 1e10 or np.all(np.abs(d) <= 1e10)):
             d = np.zeros(n)
         sigma = update_penalty(sigma, mu, lam, DELTA)
-        # a flat or uphill slope estimate (roundoff at stationarity, or
-        # multipliers blown up by degenerate rows) still demands a plain
-        # decrease; when none is found the support solve takes over
-        slope = min(float(np.sum(d)) - infeas / sigma, -1e-12)
-        phi0 = merit(x, h, sigma)
-        alpha = 1.0
-        for _ in range(MAX_BACKTRACKS + 1):
-            x_new = x + alpha * d
-            # a step lost to rounding passes the test without moving x
-            if not np.array_equal(x_new, x):
-                h_new = constraint_value(problem, x_new)
-                phi_new = merit(x_new, h_new, sigma)
-                if phi_new <= phi0 + ETA * alpha * slope:
-                    break
-            alpha *= RHO
-        else:
+        searched = _line_search(problem, x, d, h, infeas, sigma)
+        if searched is None:
+            # when no merit decrease is found the support solve takes over
             status = LINESEARCH_FAIL
             notes.append(f"iteration {k}: no merit decrease within "
                          f"{MAX_BACKTRACKS} backtracks")
             break
+        alpha, x_new, h_new, phi_new = searched
 
         jac_new = problem.tensor.jacobian(x_new)
         mu, lam = least_squares_multipliers(jac_new)
@@ -422,17 +453,15 @@ def _reformulation_notes(problem):
 
     If the entries a[i, T] whose tail T lacks i sum to <= 0 in each group
     (i, sorted T), any x >= 0 with x_i = 0 has (A x^(m-1))_i <= 0 <= q_i: every
-    TCP solution has w = 0, so both problems have the same solutions.  fsum
-    rounds correctly, so each sum has the sign of the exact one: no tolerance.
+    TCP solution has w = 0, so both problems have the same solutions.  The
+    exact group sums are `Tensor.rowwise_witness`, so no tolerance enters.
     """
-    rows = sorted((i, tuple(sorted(tail)), v)
-                  for (i, *tail), v in problem.tensor.items() if i not in tail)
-    for (i, tail), group in itertools.groupby(rows, lambda row: row[:2]):
-        total = math.fsum(v for _, _, v in group)
-        if total > 0.0:
-            return [f"equality reformulation not certified for this tensor: row {i}, tail "
-                    f"{tail} sums to {total} > 0; TCP solutions with slack may be missed"]
-    return []
+    witness = problem.tensor.rowwise_witness
+    if witness is None:
+        return []
+    i, tail, total = witness
+    return [f"equality reformulation not certified for this tensor: row {i}, tail "
+            f"{tail} sums to {total} > 0; TCP solutions with slack may be missed"]
 
 
 def multistart_sparse(problem, n_starts=20, seed=42, config=None):

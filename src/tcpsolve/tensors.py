@@ -13,11 +13,14 @@ checked as a whole when built; the kernels, the entry scans, `items()` and
 `_shifted`, which builds s*I +- A in one pass, all read that one store.  The
 Jacobian comes from the product rule on the stored entries, each entry and
 tail slot one term.  Both maps cache their term lists on the tensor at first
-use and sum them with one kernel, `_sum_terms`, at a point or a (k, n) stack.
+use and sum them with one kernel, `_sum_terms`, at a point or a (k, n) stack;
+`first_passing` scores the trial points of a backtracking ladder in such
+stacks.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -143,6 +146,22 @@ class Tensor:
         """
         return _sum_terms(x, self.dim, self._terms, self.dim)
 
+    @cached_property
+    def rowwise_witness(self):
+        """(i, T, sum) for the first group (i, sorted tail T), i not in T,
+        of entries whose exact sum is > 0; None, the row-wise certificate,
+        when there is none: then any x >= 0 with x_i = 0 has
+        (A x^{m-1})_i <= 0.  fsum rounds correctly, so each sum has the sign
+        of the exact one.  Computed once per tensor, on first use.
+        """
+        rows = sorted((i, tuple(sorted(tail)), v)
+                      for (i, *tail), v in self.items() if i not in tail)
+        for (i, tail), group in itertools.groupby(rows, lambda row: row[:2]):
+            total = math.fsum(v for _, _, v in group)
+            if total > 0.0:
+                return i, tail, total
+        return None
+
     def symmetrized(self):
         """Partial symmetrization over the last m-1 index slots (cached).
 
@@ -262,17 +281,57 @@ def _shifted(tensor, s, sign):
     return Tensor(m, n, zip(rows, vals))
 
 
+# entry terms (stored entries times tail slots) per stack in `first_passing`:
+# a stack costs a few point calls more, and past about this many terms no
+# less per row than point calls (generated order-3 tensors, numpy 2.4)
+STACK_TERMS = 8192
+# 2^-j for the halvings of a Newton step: a step length <= 1 falls to 1e-10
+# within 33 of them
+HALVINGS = 0.5 ** np.arange(1, 34)
+
+
+def first_passing(tensor, x, d, alphas, passes):
+    """(alpha, t, A t^{m-1}) for the first step length alpha in alphas whose
+    trial point t = x + alpha * d differs from x and passes, or None.
+
+    passes(steps, points, values) gets (k,) step lengths, their (k, n) trial
+    points and contractions, and returns k bools.  The trials are contracted
+    in order, the first as a point, then in stacks of 2, 4, 8, .. rows of
+    at most STACK_TERMS entry terms; on a small tensor 50 halvings cost 6
+    calls.  Each row equals the point call bit for bit, so the pick is that
+    of a loop over alphas.
+    """
+    cap = max(1, STACK_TERMS // max(1, tensor.nnz * (tensor.order - 1)))
+    start, size = 0, 1
+    while start < alphas.size:
+        steps = alphas[start:start + size]
+        points = x + steps[:, None] * d
+        # a trial lost to rounding would pass without moving x
+        moved = (points != x).any(axis=1)
+        steps, points = steps[moved], points[moved]
+        if steps.size:
+            values = tensor.contract(points[0] if steps.size == 1 else points)
+            values = values.reshape(steps.size, -1)
+            hits = np.flatnonzero(passes(steps, points, values))
+            if hits.size:
+                return float(steps[hits[0]]), points[hits[0]], values[hits[0]]
+        start, size = start + size, min(2 * size, cap)
+    return None
+
+
 def newton_on_support(tensor, rhs, support, x0):
     """Damped Newton on (A x^{m-1})_S = rhs_S with x = 0 off S and x_S > 0.
 
     S is the index array `support`; x0 gives the start on S and must be
     positive there.  Each step is cut to at most 95% of the way to the
-    orthant boundary, then halved until the max-norm residual on S drops.
-    The iteration ends after 60 steps, or sooner when that residual reaches
-    roundoff (at once for an empty S, whose residual is empty) or no halving
-    helps.  Returns the last iterate x with the full A x^{m-1} there, or
-    None when the Jacobian block on S is singular or the step is not
-    finite; callers verify the point.
+    orthant boundary, then halved until the max-norm residual on S drops;
+    the full step is tried as a point and the halvings down to 1e-10 are
+    scored in stacked contractions by `first_passing`.  The iteration ends
+    after 60 steps, or sooner when that residual reaches roundoff (at once
+    for an empty S, whose residual is empty) or no halving helps.  Returns
+    the last iterate x with the full A x^{m-1} there, or None when the
+    Jacobian block on S is singular or the step is not finite; callers
+    verify the point.
     """
     x = np.zeros(tensor.dim)
     x[support] = x0[support]
@@ -293,17 +352,25 @@ def newton_on_support(tensor, rhs, support, x0):
             return None
         neg = dx < 0
         alpha = min(1.0, float(np.min(-0.95 * x[support][neg] / dx[neg]))) if neg.any() else 1.0
-        while alpha > 1e-10:
-            trial = x.copy()
-            trial[support] += alpha * dx
-            ax_trial = tensor.contract(trial)
+        if alpha <= 1e-10:
+            break
+        trial = x.copy()
+        trial[support] += alpha * dx
+        ax_trial = tensor.contract(trial)
+        r_trial = ax_trial[support] - rhs
+        norm_trial = float(np.max(np.abs(r_trial)))
+        if not norm_trial < norm:
+            step = np.zeros(tensor.dim)
+            step[support] = dx
+            # alpha * 2^-j is exact, as in a halving loop
+            alphas = alpha * HALVINGS
+            found = first_passing(tensor, x, step, alphas[alphas > 1e-10], lambda steps, points,
+                                  values: np.max(np.abs(values[:, support] - rhs), axis=1) < norm)
+            if found is None:
+                break
+            _, trial, ax_trial = found
             r_trial = ax_trial[support] - rhs
             norm_trial = float(np.max(np.abs(r_trial)))
-            if norm_trial < norm:
-                break
-            alpha *= 0.5
-        else:
-            break
         x, ax, r, norm = trial, ax_trial, r_trial, norm_trial
     return x, ax
 

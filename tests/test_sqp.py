@@ -13,8 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 from tcpsolve import (SPARSITY_TOL, SQPConfig, TCPProblem, Tensor, builtin,
                       classify, generate_ks_instance, multistart_sparse,
-                      reference_solution, sqp, sqp_solve, verify_solution)
+                      reference_solution, sqp, sqp_solve, tensors, verify_solution)
 from tcpsolve.qp import QPResult
+from tcpsolve.tensors import newton_on_support
 from tcpsolve.sqp import (_support_solution, constraint_value, damped_bfgs,
                           infeasibility, least_squares_multipliers, merit,
                           update_penalty)
@@ -30,13 +31,14 @@ def multistart_start(problem, k, seed=42):
 
 
 def record_evaluations(monkeypatch):
-    """Wrap Tensor.contract and Tensor.jacobian to record each point's bytes."""
+    """Wrap Tensor.contract and Tensor.jacobian to record each point's bytes,
+    one record per row of a stacked call."""
     seen = {"contract": [], "jacobian": []}
     for method in seen:
         real = getattr(Tensor, method)
 
         def recorded(self, x, _real=real, _calls=seen[method]):
-            _calls.append(np.asarray(x).tobytes())
+            _calls.extend(row.tobytes() for row in np.atleast_2d(x))
             return _real(self, x)
 
         monkeypatch.setattr(Tensor, method, recorded)
@@ -524,6 +526,212 @@ class TestSupportSolve:
         point, _ = _support_solution(problem, ref, SQPConfig().eps2)
         np.testing.assert_allclose(point, ref, atol=tol)
         assert np.array_equal(point == 0.0, ref == 0.0)
+
+
+class TestCandidateSkip:
+    """Under the row-wise certificate, a candidate support that leaves out
+    some i with q_i > eps2 is skipped: its Newton point has x_i = 0, so
+    (A x^(m-1))_i <= 0 and w_i < -eps2."""
+
+    @pytest.mark.parametrize("problem, starts", [
+        (builtin("ex5_3"), 20), (builtin("ex5_4"), 50),
+        (generate_ks_instance(3, 6, density=0.197, seed=1210382689), 5),
+        (generate_ks_instance(4, 5, density=0.116, seed=1694675156), 5)],
+        ids=["ex5_3", "ex5_4", "gen-m3-n6", "gen-m4-n5"])
+    def test_skipped_candidates_cannot_verify(self, monkeypatch, problem, starts):
+        # every candidate the skip drops, solved anyway, fails verification
+        eps2 = SQPConfig().eps2
+        needed = np.flatnonzero(problem.q > eps2)
+        skipped = []
+        real = sqp._first_verified
+
+        def spy(problem, candidates, eps2):
+            candidates = list(candidates)
+            skipped.extend((support, x0) for support, x0 in candidates
+                           if support.size and not np.isin(needed, support).all())
+            return real(problem, candidates, eps2)
+
+        monkeypatch.setattr(sqp, "_first_verified", spy)
+        assert problem.tensor.rowwise_witness is None
+        assert multistart_sparse(problem, n_starts=starts, seed=42).success_rate == 1.0
+        assert len(skipped) >= starts
+        for support, x0 in skipped:
+            found = newton_on_support(problem.tensor, problem.q, support, x0)
+            if found is not None:
+                x, ax = found
+                check = sqp._verification(x, ax - problem.q)
+                assert max(check.max_violation, check.equation_residual) > eps2
+                assert not solves_both_systems(problem, x, eps2)
+
+    def test_uncertified_input_keeps_every_candidate(self, monkeypatch):
+        # ex2_1 with q = e is not certified (row 1, tail (0, 0) sums to 1),
+        # and (1, 0) solves it with x_1 = 0; a skip that ignored the
+        # certificate would drop the Newton finishes that find it
+        problem = TCPProblem(builtin("ex2_1"), q=np.ones(2))
+        assert problem.tensor.rowwise_witness == (1, (0, 0), 1.0)
+
+        def counts():
+            reports = multistart_sparse(problem, n_starts=20, seed=42).reports
+            return {label: sum(r.solved_by == label for r in reports)
+                    for label in ("sqp", "identified", "support", None)}
+
+        assert counts() == {"sqp": 0, "identified": 19, "support": 1, None: 0}
+        monkeypatch.setattr(Tensor, "rowwise_witness", property(lambda self: None))
+        assert counts() != {"sqp": 0, "identified": 19, "support": 1, None: 0}
+
+
+def reference_newton_on_support(tensor, rhs, support, x0):
+    """`newton_on_support` with one point contraction per halving, as a
+    plain loop; also returns the number of halvings taken."""
+    x = np.zeros(tensor.dim)
+    x[support] = x0[support]
+    ax = tensor.contract(x)
+    rhs = rhs[support]
+    r = ax[support] - rhs
+    norm = float(np.max(np.abs(r), initial=0.0))
+    tol = 1e-14 * max(1.0, float(np.max(np.abs(rhs), initial=0.0)))
+    halvings = 0
+    for _ in range(60):
+        if norm <= tol:
+            break
+        jac = tensor.jacobian(x)
+        try:
+            dx = np.linalg.solve(jac[np.ix_(support, support)], -r)
+        except np.linalg.LinAlgError:
+            return None, halvings
+        if not np.all(np.isfinite(dx)):
+            return None, halvings
+        neg = dx < 0
+        alpha = min(1.0, float(np.min(-0.95 * x[support][neg] / dx[neg]))) if neg.any() else 1.0
+        while alpha > 1e-10:
+            trial = x.copy()
+            trial[support] += alpha * dx
+            ax_trial = tensor.contract(trial)
+            r_trial = ax_trial[support] - rhs
+            norm_trial = float(np.max(np.abs(r_trial)))
+            if norm_trial < norm:
+                break
+            alpha *= 0.5
+            halvings += 1
+        else:
+            break
+        x, ax, r, norm = trial, ax_trial, r_trial, norm_trial
+    return (x, ax), halvings
+
+
+def reference_line_search(problem, x, d, h, infeas, sigma):
+    """`sqp._line_search` with one point contraction per step length, as a
+    plain loop; also returns the number of backtracks taken."""
+    slope = min(float(np.sum(d)) - infeas / sigma, -1e-12)
+    phi0 = merit(x, h, sigma)
+    alpha = 1.0
+    for j in range(sqp.MAX_BACKTRACKS + 1):
+        x_new = x + alpha * d
+        if not np.array_equal(x_new, x):
+            h_new = constraint_value(problem, x_new)
+            phi_new = merit(x_new, h_new, sigma)
+            if phi_new <= phi0 + sqp.ETA * alpha * slope:
+                return (alpha, x_new, h_new, phi_new), j
+        alpha *= sqp.RHO
+    return None, sqp.MAX_BACKTRACKS + 1
+
+
+# the benchmark's gen-solve pool: (order, dim, density, generator seed)
+GEN_POOL = ((3, 6, 0.197, 1210382689), (3, 5, 0.174, 1437726064), (3, 4, 0.264, 2077774038),
+            (4, 5, 0.116, 1694675156), (3, 4, 0.142, 2139610633), (3, 3, 0.278, 1426688825),
+            (3, 4, 0.154, 969174479), (4, 3, 0.259, 1294184814))
+
+
+def ladder_problems():
+    """(problem, starts): the gate, the benchmark's gen-solve pool and 30
+    random order-2 draws, Z-matrices and mixed signs, with q >= 0."""
+    problems = [(builtin(name), 20) for name in GATE]
+    problems += [(generate_ks_instance(order, dim, density=density, seed=seed), 1)
+                 for order, dim, density, seed in GEN_POOL]
+    rng = np.random.default_rng(12345)
+    for k in range(30):
+        n = int(rng.integers(2, 6))
+        m = rng.uniform(-1.0, 0.0 if k % 2 else 1.0, (n, n))
+        np.fill_diagonal(m, rng.uniform(0.5, 2.0, n))
+        q = np.where(rng.uniform(size=n) < 0.4, 0.0, rng.uniform(size=n))
+        problems.append((TCPProblem(Tensor.from_dense(m), q), 2))
+    return problems
+
+
+class TestStackedLadders:
+    """The backtracking ladders of Newton on a support and of the Armijo
+    search score their trial points in stacked contractions; every call
+    made by real runs must return the bits of the one-point-at-a-time
+    loop."""
+
+    @staticmethod
+    def same(got, want):
+        if want is None:
+            return got is None
+        return got is not None and all(
+            np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
+
+    def test_newton_matches_sequential_halvings(self, monkeypatch):
+        calls, halvings = [], 0
+        real = sqp.newton_on_support
+
+        def spy(*args):
+            found = real(*args)
+            calls.append((args, found))
+            return found
+
+        monkeypatch.setattr(sqp, "newton_on_support", spy)
+        for problem, starts in ladder_problems():
+            calls.clear()
+            multistart_sparse(problem, n_starts=starts, seed=42)
+            for args, found in calls:
+                want, taken = reference_newton_on_support(*args)
+                halvings += taken
+                assert self.same(found, want)
+        assert halvings > 100
+
+    def test_line_search_matches_sequential_search(self, monkeypatch):
+        calls, backtracks, failed = [], 0, 0
+        real = sqp._line_search
+
+        def spy(*args):
+            searched = real(*args)
+            calls.append((args, searched))
+            return searched
+
+        monkeypatch.setattr(sqp, "_line_search", spy)
+        for problem, starts in ladder_problems():
+            calls.clear()
+            multistart_sparse(problem, n_starts=starts, seed=42)
+            for args, searched in calls:
+                want, taken = reference_line_search(*args)
+                backtracks += taken
+                failed += want is None
+                assert self.same(searched, want)
+        assert backtracks > 100 and failed > 0
+
+    def test_point_calls_give_the_same_reports(self, monkeypatch):
+        # with no room for a stack every trial is contracted as a point,
+        # and every report keeps its bits
+        def reports():
+            return [multistart_sparse(builtin(name), n_starts=5, seed=42).reports
+                    for name in ("ex5_3", "ex5_4", "ex5_5")]
+
+        stacked = reports()
+        shapes = []
+        real = Tensor.contract
+
+        def contract(self, x):
+            shapes.append(np.shape(x))
+            return real(self, x)
+
+        monkeypatch.setattr(tensors, "STACK_TERMS", 0)
+        monkeypatch.setattr(Tensor, "contract", contract)
+        for got, want in zip(reports(), stacked):
+            for a, b in zip(got, want):
+                assert (a.x.tobytes(), a.trace, a.notes, a.solved_by) == \
+                    (b.x.tobytes(), b.trace, b.notes, b.solved_by)
+        assert shapes and all(len(shape) == 1 for shape in shapes)
 
 
 class TestMultistart:
