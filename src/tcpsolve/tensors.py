@@ -350,8 +350,11 @@ def newton_on_support(tensor, rhs, support, x0):
             return None
         if not np.all(np.isfinite(dx)):
             return None
-        neg = dx < 0
-        alpha = min(1.0, float(np.min(-0.95 * x[support][neg] / dx[neg]))) if neg.any() else 1.0
+        # only coordinates whose full step crosses 95% of the way to 0 cut
+        # it; their ratios are < 1, so a subnormal dx_i cannot overflow one
+        room = 0.95 * x[support]
+        binding = -dx > room
+        alpha = float(np.min(room[binding] / -dx[binding])) if binding.any() else 1.0
         if alpha <= 1e-10:
             break
         trial = x.copy()

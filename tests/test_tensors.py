@@ -552,6 +552,18 @@ class TestNewtonOnSupport:
         assert 0.0 < x[0] < 1e-3
         np.testing.assert_array_equal(ax, t.contract(x))
 
+    def test_subnormal_step_does_not_overflow_the_cut(self):
+        # x1 + a x3 = 1 with a = -2.2e-313 starting from (1, 1, 1): the first
+        # step has dx_3 = -1 and dx_1 = a, whose cut ratio 0.95 / |a| would
+        # overflow; the step is cut by x_3 alone, as without the a term
+        a = -2.2250738585e-313
+        t = Tensor(2, 3, {(0, 0): 1.0, (0, 2): a, (1, 1): 1.0, (2, 2): 1.0})
+        x, ax = newton_on_support(t, np.array([1.0, 1.0, 0.0]),
+                                  np.array([0, 1, 2]), np.ones(3))
+        assert np.all(x > 0.0)
+        np.testing.assert_allclose(x[:2], [1.0, 1.0], rtol=1e-14)
+        np.testing.assert_array_equal(ax, t.contract(x))
+
     def test_empty_support_gives_zero(self):
         x, ax = newton_on_support(identity(3, 2), np.ones(2),
                                   np.array([], dtype=np.intp), np.ones(2))
