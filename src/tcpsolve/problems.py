@@ -295,12 +295,12 @@ def generate_ks_instance(order, dim, density=0.3, seed=0):
 
     Raises ValueError, before drawing, when order < 2 or dim < 1, density is
     not in (0, 1], max(dim, 2)**order overflows np.intp, or the instance
-    would store more than MAX_ENTRIES entries.  At the cap, order 62 dim 2
-    (the slowest shape) draws and certifies in 3.7-4.5 s at a 293 MB peak,
-    0.08-0.11 s of it in the Tensor constructor; order 39 dim 3 takes
-    2.8-3.1 s, order 10 dim 9 0.7-0.8 s, order 6 dim 10 0.35 s and order 2
-    dim 19999 0.08 s (Python 3.11, numpy 2.4, 2-CPU x86-64), so every
-    admitted draw finishes within 60 s.
+    would store more than MAX_ENTRIES entries.  At the cap, `tcpsolve gen`
+    at order 62 dim 2 (the slowest shape) takes 1.3-1.7 s at a 252 MB
+    peak, 0.08-0.11 s of it in the Tensor constructor; order 39 dim 3 takes
+    1.1-1.2 s, order 10 dim 9 0.5-0.6 s, order 6 dim 10 0.5 s and order 2
+    dim 19999 0.4-0.5 s, interpreter start included (Python 3.11, numpy
+    2.4, 2-CPU x86-64), so every admitted draw finishes within 60 s.
     """
     if order < 2 or dim < 1:
         raise ValueError(f"require order >= 2 and dim >= 1, got order={order} dim={dim}")

@@ -15,12 +15,12 @@ Jacobian comes from the product rule on the stored entries, each entry and
 tail slot one term.  Both maps cache their term lists on the tensor at first
 use and sum them with one kernel, `_sum_terms`, at a point or a (k, n) stack;
 `first_passing` scores the trial points of a backtracking ladder in such
-stacks.
+stacks.  The entry certificates' exact group sums share one kernel too,
+`first_positive_group`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -151,16 +151,14 @@ class Tensor:
         """(i, T, sum) for the first group (i, sorted tail T), i not in T,
         of entries whose exact sum is > 0; None, the row-wise certificate,
         when there is none: then any x >= 0 with x_i = 0 has
-        (A x^{m-1})_i <= 0.  fsum rounds correctly, so each sum has the sign
-        of the exact one.  Computed once per tensor, on first use.
+        (A x^{m-1})_i <= 0.  The sums are exact (`first_positive_group`).
+        Computed once per tensor, on first use.
         """
-        rows = sorted((i, tuple(sorted(tail)), v)
-                      for (i, *tail), v in self.items() if i not in tail)
-        for (i, tail), group in itertools.groupby(rows, lambda row: row[:2]):
-            total = math.fsum(v for _, _, v in group)
-            if total > 0.0:
-                return i, tail, total
-        return None
+        keep = ~(self._idx[:, 1:] == self._idx[:, :1]).any(axis=1)
+        keys = self._idx[keep]
+        keys[:, 1:].sort(axis=1)
+        _, row, total = first_positive_group(keys, self._val[keep])
+        return None if row is None else (row[0], row[1:], total)
 
     def symmetrized(self):
         """Partial symmetrization over the last m-1 index slots (cached).
@@ -267,6 +265,28 @@ def _sum_terms(x, n, terms, size):
     return np.bincount(bins, weights=w.ravel(), minlength=k * size).reshape(k, size)
 
 
+def first_positive_group(keys, values):
+    """(count, row, sum) for the groups of equal rows of the integer array
+    keys, row r holding values[r]: the number of distinct rows, and the
+    first row in sorted order whose values have an exact sum > 0, with that
+    sum, or (count, None, None).  A group with no positive value sums to
+    <= 0 without adding; math.fsum adds the others, correctly rounded, so
+    each sum has the sign of the exact one in any order of its terms.
+    """
+    # lexsort's last key is its first: rows sorted as tuples would be
+    rank = np.lexsort(keys.T[::-1])
+    keys, values = keys[rank], values[rank]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    edges = np.flatnonzero(new).tolist() + [len(keys)]
+    # the groups that hold a positive value, in order, each once
+    for g in dict.fromkeys((np.cumsum(new) - 1)[values > 0.0].tolist()):
+        total = math.fsum(values[edges[g]:edges[g + 1]].tolist())
+        if total > 0.0:
+            return len(edges) - 1, tuple(keys[edges[g]].tolist()), total
+    return len(edges) - 1, None, None
+
+
 def identity(order, dim):
     """Identity tensor: ones on the diagonal, zero elsewhere."""
     return Tensor(order, dim, {(i,) * order: 1.0 for i in range(dim)})
@@ -281,13 +301,21 @@ def _shifted(tensor, s, sign):
     return Tensor(m, n, zip(rows, vals))
 
 
-# entry terms (stored entries times tail slots) per stack in `first_passing`:
-# a stack costs a few point calls more, and past about this many terms no
-# less per row than point calls (generated order-3 tensors, numpy 2.4)
+# kernel terms per stacked call, in `first_passing` and the classifier's
+# sampled checks: a stack costs a few point calls more, and past about this
+# many terms no less per row than point calls (generated order-3 tensors,
+# numpy 2.4); it also keeps a stack's memory flat in the tensor's size
 STACK_TERMS = 8192
 # 2^-j for the halvings of a Newton step: a step length <= 1 falls to 1e-10
 # within 33 of them
 HALVINGS = 0.5 ** np.arange(1, 34)
+
+
+def stack_rows(tensor):
+    """Points per stacked call: STACK_TERMS over the terms per point, the
+    entry terms of a contraction or the n^2 entries of a Jacobian."""
+    per_point = max(tensor.nnz * (tensor.order - 1), tensor.dim ** 2)
+    return max(1, STACK_TERMS // per_point)
 
 
 def first_passing(tensor, x, d, alphas, passes):
@@ -296,12 +324,12 @@ def first_passing(tensor, x, d, alphas, passes):
 
     passes(steps, points, values) gets (k,) step lengths, their (k, n) trial
     points and contractions, and returns k bools.  The trials are contracted
-    in order, the first as a point, then in stacks of 2, 4, 8, .. rows of
-    at most STACK_TERMS entry terms; on a small tensor 50 halvings cost 6
-    calls.  Each row equals the point call bit for bit, so the pick is that
-    of a loop over alphas.
+    in order, the first as a point, then in stacks of 2, 4, 8, .. rows, at
+    most `stack_rows`; on a small tensor 50 halvings cost 6 calls.  Each
+    row equals the point call bit for bit, so the pick is that of a loop
+    over alphas.
     """
-    cap = max(1, STACK_TERMS // max(1, tensor.nnz * (tensor.order - 1)))
+    cap = stack_rows(tensor)
     start, size = 0, 1
     while start < alphas.size:
         steps = alphas[start:start + size]

@@ -3,6 +3,7 @@ certificate invariants (witness re-validation, split round-trip, and the
 Z-tensor agreement between the KS check and the M check).
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -13,11 +14,11 @@ from hypothesis import given, settings, strategies as st
 from tcpsolve import (BUILTIN_NAMES, TCPProblem, Tensor, Verdict, builtin,
                       classify, generate_ks_instance, is_ks_tensor, is_nonnegative,
                       is_nonsingular_m_tensor, is_p_tensor, is_z_tensor,
-                      ks_split, satisfies_condition2, spectral_radius,
+                      ks_split, satisfies_condition2, spectral_radius, tensors,
                       z_function_check)
 from tcpsolve.classify import (OFFDIAG_TOL, _m_check, _p_probes, _p_sample,
-                               _stack_rows, positive_witness_ok)
-from tcpsolve.tensors import identity
+                               positive_witness_ok)
+from tcpsolve.tensors import first_positive_group, identity, stack_rows
 
 
 def random_z_tensor(rng, order, dim, strength):
@@ -137,6 +138,33 @@ def reference_condition2(tensor):
                     f"insertion sum for i={i}, tail={tail} is {sums[i, tail]} > 0")
     return (Verdict.CERTIFIED_TRUE, None,
             f"{len(sums)} candidate (i, tail) pairs, all sums <= 0")
+
+
+def reference_rowwise_witness(tensor):
+    """`Tensor.rowwise_witness` from per-group lookups: for each i and
+    multiset T of tail indices without i that some entry carries, the fsum
+    of the entries a[i, P] over the distinct orderings P of T."""
+    groups = {(idx[0], tuple(sorted(idx[1:]))) for idx, _v in tensor.items()
+              if idx[0] not in idx[1:]}
+    for i, tail in sorted(groups):
+        total = math.fsum(tensor.value((i,) + perm) for perm in set(itertools.permutations(tail)))
+        if total > 0.0:
+            return i, tail, total
+    return None
+
+
+def wide_index_tensor(dim, seed, nonpositive):
+    """Order-3 tensor of dimension dim whose entries come four to an index
+    triple, its permutations, with values in quarters, so insertion sums
+    and row-wise groups share terms and may cancel; nonpositive makes every
+    entry <= 0."""
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for a, b, c in rng.integers(0, min(dim, 2 ** 62), size=(40, 3)).tolist():
+        for idx in ((a, b, c), (b, a, c), (c, b, a), (a, c, b)):
+            v = float(rng.integers(-4, 5)) / 4.0
+            entries[idx] = -abs(v) if nonpositive else v
+    return Tensor(3, dim, entries)
 
 
 def random_mixed_tensor(rng, quarters):
@@ -325,7 +353,6 @@ class TestCondition2:
         assert total > 0.0
 
     def test_matches_dense_enumeration(self):
-        import itertools
         rng = np.random.default_rng(23)
         for _ in range(20):
             order = int(rng.integers(2, 5))
@@ -388,6 +415,83 @@ class TestCondition2:
 
         monkeypatch.setattr(Tensor, "value", no_lookup)
         assert [satisfies_condition2(t) for t in tensors] == expected
+
+
+class TestGroupSums:
+    """The one exact group-sum kernel behind both entry certificates."""
+
+    def test_rowwise_matches_per_group_reference(self):
+        rng = np.random.default_rng(2026)
+        hits = mixed = 0
+        for k in range(600):
+            t = random_mixed_tensor(rng, quarters=k % 2 == 1)
+            want = reference_rowwise_witness(t)
+            assert t.rowwise_witness == want
+            hits += want is not None
+            groups = {}
+            for (i, *tail), v in t.items():
+                if i not in tail:
+                    groups.setdefault((i, tuple(sorted(tail))), []).append(v)
+            # the groups that the kernel adds with fsum
+            mixed += sum(min(vs) < 0.0 < max(vs) for vs in groups.values())
+        assert 50 < hits < 550
+        assert mixed > 20
+
+    @pytest.mark.parametrize("dim, dtype", [(300, np.uint16), (2 ** 62, np.uint64)])
+    def test_wide_index_types(self, dim, dtype):
+        assert np.min_scalar_type(dim - 1) == dtype
+        verdicts = set()
+        for seed in range(4):
+            for nonpositive in (False, True):
+                t = wide_index_tensor(dim, seed, nonpositive)
+                cert = satisfies_condition2(t)
+                assert (cert.verdict, cert.witness, cert.detail) == reference_condition2(t)
+                assert t.rowwise_witness == reference_rowwise_witness(t)
+                verdicts.add(cert.verdict)
+        assert verdicts == {Verdict.CERTIFIED_TRUE, Verdict.CERTIFIED_FALSE}
+
+    def test_no_entries(self):
+        t = Tensor(4, 3, {})
+        assert satisfies_condition2(t).detail == "0 candidate (i, tail) pairs, all sums <= 0"
+        assert t.rowwise_witness is None
+        assert first_positive_group(np.empty((0, 4), np.uint8), np.empty(0)) == (0, None, None)
+
+    def test_order_two(self):
+        # condition (2) of a matrix is a_ij + a_ji <= 0 for i != j, the
+        # row-wise test a_ij <= 0
+        t = Tensor.from_dense([[1.0, 0.5, -2.0], [-0.5, 1.0, 0.0], [1.0, 3.0, 1.0]])
+        cert = satisfies_condition2(t)
+        assert (cert.verdict, cert.witness) == (Verdict.CERTIFIED_FALSE, (1, (2,)))
+        assert cert.detail == "insertion sum for i=1, tail=(2,) is 3.0 > 0"
+        assert t.rowwise_witness == (0, (1,), 0.5)
+
+    def test_group_cancelling_to_zero_is_not_positive(self):
+        pair = Tensor(2, 2, {(0, 1): 0.5, (1, 0): -0.5})
+        cert = satisfies_condition2(pair)
+        assert (cert.verdict, cert.detail) == (
+            Verdict.CERTIFIED_TRUE, "2 candidate (i, tail) pairs, all sums <= 0")
+        # group (0, (1, 2, 3)) adds to 1.0 in stored order, exactly to 0
+        t = Tensor(4, 4, {(0, 1, 2, 3): 1e16, (0, 1, 3, 2): -1.0, (0, 2, 1, 3): -1e16,
+                          (0, 2, 3, 1): 1.0})
+        assert sum(v for _idx, v in t.items()) == 1.0
+        assert t.rowwise_witness is None and reference_rowwise_witness(t) is None
+
+    def test_sums_only_groups_with_a_positive_value(self, monkeypatch):
+        keys = np.array([[2, 0], [0, 1], [2, 0], [0, 1], [1, 1], [0, 1]])
+        values = np.array([1.0, -2.0, -1.0, 0.5, -3.0, 1.0])
+        summed = []
+        real = math.fsum
+
+        def fsum(terms):
+            summed.append(sorted(terms))
+            return real(terms)
+
+        monkeypatch.setattr(math, "fsum", fsum)
+        # groups (0, 1): -0.5, (1, 1): -3 unsummed, (2, 0): 0.0
+        assert first_positive_group(keys, values) == (3, None, None)
+        assert summed == [[-2.0, 0.5, 1.0], [-1.0, 1.0]]
+        values[0] = 1.5
+        assert first_positive_group(keys, values) == (3, (2, 0), 0.5)
 
 
 class TestEntryOrder:
@@ -591,13 +695,13 @@ class TestStackedSampling:
             assert cert.witness.tobytes() == x.tobytes()
         assert cert.evidence == evidence
 
-    @pytest.mark.parametrize("budget", [64, classify.TERM_BUDGET])
+    @pytest.mark.parametrize("budget", [64, tensors.STACK_TERMS, 2 * tensors.STACK_TERMS])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_probes_match_reference(self, monkeypatch, name, budget):
-        monkeypatch.setattr(classify, "TERM_BUDGET", budget)
+        monkeypatch.setattr(tensors, "STACK_TERMS", budget)
         t = builtin_tensor(name)
         stacks = list(_p_probes(t, 1000, 42))
-        assert max(len(xs) for xs in stacks) <= _stack_rows(t)
+        assert max(len(xs) for xs in stacks) <= stack_rows(t)
         assert np.concatenate(stacks).tobytes() == np.array(
             reference_p_probes(t, 1000, 42)).tobytes()
 
@@ -605,12 +709,12 @@ class TestStackedSampling:
     def test_witness_past_first_stack(self, monkeypatch, budget):
         # at seed 45 the first P witness is random draw 9 (after the three
         # fixed probes) and the first Z witness is sample 116
-        monkeypatch.setattr(classify, "TERM_BUDGET", budget)
+        monkeypatch.setattr(tensors, "STACK_TERMS", budget)
         k, x = reference_p_sample(LATE_P_WITNESS, 1000, 45)
-        assert k - 3 >= _stack_rows(LATE_P_WITNESS)
+        assert k - 3 >= stack_rows(LATE_P_WITNESS)
         assert _p_sample(LATE_P_WITNESS, 1000, 45).tobytes() == x.tobytes()
         k, x, evidence = reference_z_function(LATE_Z_WITNESS, 1000, 45)
-        assert k >= _stack_rows(LATE_Z_WITNESS)
+        assert k >= stack_rows(LATE_Z_WITNESS)
         cert = z_function_check(LATE_Z_WITNESS, seed=45)
         assert cert.verdict is Verdict.REFUTED
         assert cert.witness.tobytes() == x.tobytes()
