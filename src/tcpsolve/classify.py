@@ -102,8 +102,8 @@ def is_z_tensor(tensor):
 def ks_split(tensor):
     idx, val = tensor._idx, tensor._val
     w = ~tensor.off_diagonal() | (val < 0)
-    return KSDecomposition(W=Tensor(tensor.order, tensor.dim, zip(idx[w], val[w])),
-                           N=Tensor(tensor.order, tensor.dim, zip(idx[~w], val[~w])))
+    return KSDecomposition(W=Tensor.from_arrays(tensor.order, tensor.dim, idx[w], val[w]),
+                           N=Tensor.from_arrays(tensor.order, tensor.dim, idx[~w], val[~w]))
 
 
 def satisfies_condition2(tensor):

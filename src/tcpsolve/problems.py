@@ -16,11 +16,9 @@ sorts entry lines lexicographically by index tuple.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .tensors import Tensor
+from .tensors import Tensor, checked_shape
 from . import classify
 
 __all__ = ["TCPProblem", "FormatError", "parse_problem", "parse_tensor",
@@ -76,70 +74,135 @@ class FormatError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-def _parse(text):
-    tensor_meta = None
-    entries = {}
-    q = None
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.rstrip("\r")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if tensor_meta is None:
-            if (len(tokens) != 4 or tokens[0] != "tcp" or tokens[1] != "v1"
-                    or not tokens[2].startswith("order=") or not tokens[3].startswith("dim=")):
-                raise FormatError(line_no, "expected header 'tcp v1 order=<m> dim=<n>'")
-            try:
-                order = int(tokens[2][len("order="):])
-                dim = int(tokens[3][len("dim="):])
-            except ValueError:
-                raise FormatError(line_no, "order and dim must be integers") from None
-            if order < 2 or dim < 1:
-                raise FormatError(line_no, f"invalid order={order} dim={dim}")
-            tensor_meta = (order, dim, line_no)
-            continue
-        order, dim, _ = tensor_meta
-        if tokens[0] == "a":
-            if len(tokens) != order + 2:
-                raise FormatError(line_no, f"entry line needs {order} indices and a value")
-            try:
-                idx = tuple(int(t) for t in tokens[1:order + 1])
-            except ValueError:
-                raise FormatError(line_no, "indices must be integers") from None
-            if any(i < 1 or i > dim for i in idx):
-                raise FormatError(line_no, f"index {idx} out of range 1..{dim}")
-            try:
-                value = float(tokens[-1])
-            except ValueError:
-                raise FormatError(line_no, f"bad value {tokens[-1]!r}") from None
-            if not math.isfinite(value):
-                raise FormatError(line_no, f"non-finite value {tokens[-1]!r}")
-            key = tuple(i - 1 for i in idx)
-            if key in entries:
-                raise FormatError(line_no, f"duplicate entry for index {idx}")
-            entries[key] = value
-        elif tokens[0] == "q":
-            if q is not None:
-                raise FormatError(line_no, "duplicate q line")
-            if len(tokens) != dim + 1:
-                raise FormatError(line_no, f"q line needs {dim} values")
-            try:
-                q = np.array([float(t) for t in tokens[1:]])
-            except ValueError:
-                raise FormatError(line_no, "q values must be numbers") from None
-            if not np.all(np.isfinite(q)):
-                raise FormatError(line_no, "q values must be finite")
-            if np.any(q < 0):
-                raise FormatError(line_no, "q must be componentwise nonnegative")
-        else:
-            raise FormatError(line_no, f"unknown line tag {tokens[0]!r}")
-    if tensor_meta is None:
-        raise FormatError(1, "missing header 'tcp v1 order=<m> dim=<n>'")
+def _header(tokens, line_no):
+    """(order, dim) from the header line's tokens, within the Tensor limits."""
+    if (len(tokens) != 4 or tokens[0] != "tcp" or tokens[1] != "v1"
+            or not tokens[2].startswith("order=") or not tokens[3].startswith("dim=")):
+        raise FormatError(line_no, "expected header 'tcp v1 order=<m> dim=<n>'")
     try:
-        return Tensor(*tensor_meta[:2], entries), q
-    except ValueError as e:   # a header the constructor rejects, e.g. dim >= 2**63
-        raise FormatError(tensor_meta[2], str(e)) from None
+        order = int(tokens[2][len("order="):])
+        dim = int(tokens[3][len("dim="):])
+    except ValueError:
+        raise FormatError(line_no, "order and dim must be integers") from None
+    if order < 2 or dim < 1:
+        raise FormatError(line_no, f"invalid order={order} dim={dim}")
+    try:
+        return checked_shape(order, dim)
+    except ValueError as e:   # e.g. dim >= 2**63 or order > MAX_ORDER
+        raise FormatError(line_no, str(e)) from None
+
+
+def _q_line(tokens, order, dim, q, line_no):
+    """q from a line that is not an entry line of order + 2 tokens: the
+    first q line; any other line is a FormatError."""
+    if tokens[0] == "a":
+        raise FormatError(line_no, f"entry line needs {order} indices and a value")
+    if tokens[0] != "q":
+        raise FormatError(line_no, f"unknown line tag {tokens[0]!r}")
+    if q is not None:
+        raise FormatError(line_no, "duplicate q line")
+    if len(tokens) != dim + 1:
+        raise FormatError(line_no, f"q line needs {dim} values")
+    try:
+        q = np.array([float(t) for t in tokens[1:]])
+    except ValueError:
+        raise FormatError(line_no, "q values must be numbers") from None
+    if not np.all(np.isfinite(q)):
+        raise FormatError(line_no, "q values must be finite")
+    if np.any(q < 0):
+        raise FormatError(line_no, "q must be componentwise nonnegative")
+    return q
+
+
+def _leading(kind, tokens, width):
+    """kind(t) for the tokens, width to a row, up to the first row with a
+    token that kind refuses: (the values before that row, the row or None)."""
+    try:
+        return list(map(kind, tokens)), None
+    except ValueError:
+        out = []
+        for t in tokens:
+            try:
+                out.append(kind(t))
+            except ValueError:
+                break
+        row = len(out) // width
+        return out[:row * width], row
+
+
+def _entries(rows, lines, order, dim):
+    """(idx, val), the 1-based int64 index rows and the values of the entry
+    lines whose token lists are rows, or the FormatError of the first
+    faulty one; lines holds their line numbers.
+
+    Each check runs on the rows before the earliest fault found so far, in
+    the order of a line's own checks, so the error is the earliest line's
+    and, within a line, the one its first failing check names.
+    """
+    cells = np.array(rows, dtype=object).reshape(len(rows), order + 2)
+    ints, row = _leading(int, cells[:, 1:-1].ravel().tolist(), order)
+    fault = None if row is None else (row, "indices must be integers")
+    try:
+        idx = np.array(ints, dtype=np.int64).reshape(-1, order)
+        out = ((idx < 1) | (idx > dim)).any(axis=1)
+    except OverflowError:   # an index past int64, out of range for any dim
+        idx = None
+        out = np.array([not 1 <= i <= dim for i in ints], dtype=bool)
+        out = out.reshape(-1, order).any(axis=1)
+    if out.any():
+        row = int(np.argmax(out))
+        fault = row, f"index {tuple(ints[row * order:(row + 1) * order])} out of range 1..{dim}"
+        idx = np.array(ints[:row * order], dtype=np.int64).reshape(-1, order)
+    vals, row = _leading(float, cells[:len(idx), -1].tolist(), 1)
+    if row is not None:
+        fault = row, f"bad value {cells[row, -1]!r}"
+    val = np.array(vals, dtype=float)
+    bad = ~np.isfinite(val)
+    if bad.any():
+        row = int(np.argmax(bad))
+        fault, val = (row, f"non-finite value {cells[row, -1]!r}"), val[:row]
+    idx = idx[:len(val)]
+    # a stable sort keeps equal rows in line order: each repeat follows its first
+    rank = np.lexsort(idx.T[::-1])
+    repeat = (idx[rank[1:]] == idx[rank[:-1]]).all(axis=1)
+    if repeat.any():
+        row = int(rank[1:][repeat].min())
+        fault = row, f"duplicate entry for index {tuple(idx[row].tolist())}"
+    if fault is not None:
+        raise FormatError(lines[fault[0]], fault[1])
+    return idx, val
+
+
+def _parse(text):
+    """(tensor, q or None) from tcp v1 text.
+
+    One in-order pass splits the lines, checks the header, the line tags
+    and the token counts, and reads the q line; the first fault it meets
+    ends it.  The entry lines before that fault are then converted in bulk,
+    by Python's int and float, and checked with numpy (`_entries`); a fault
+    among them comes first, so the error names the earliest faulty line.
+    """
+    shape, rows, lines, q, fault = None, [], [], None, None
+    for line_no, tokens in enumerate(map(str.split, text.split("\n")), start=1):
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if shape is None:
+            order, dim = shape = _header(tokens, line_no)
+        elif tokens[0] == "a" and len(tokens) == order + 2:
+            rows.append(tokens)
+            lines.append(line_no)
+        else:
+            try:
+                q = _q_line(tokens, order, dim, q, line_no)
+            except FormatError as e:
+                fault = e
+                break
+    if shape is None:
+        raise FormatError(1, "missing header 'tcp v1 order=<m> dim=<n>'")
+    idx, val = _entries(rows, lines, order, dim)
+    if fault is not None:
+        raise fault
+    return Tensor.from_arrays(order, dim, idx - 1, val), q
 
 
 def parse_problem(text, name=""):
@@ -161,12 +224,17 @@ def format_value(v):
 
 
 def _serialize(tensor, q):
-    lines = [f"tcp v1 order={tensor.order} dim={tensor.dim}"]
-    for idx, value in tensor.items():
-        ones = " ".join(str(i + 1) for i in idx)
-        lines.append(f"a {ones} {format_value(value)}")
+    """Canonical text, built by column: each distinct index is written once
+    and `format_value` runs once per value."""
+    names, at = np.unique(tensor._idx, return_inverse=True)
+    cells = np.empty((tensor.nnz, tensor.order + 2), dtype=object)
+    cells[:, 0] = "a"
+    cells[:, 1:-1] = np.array([str(i + 1) for i in names.tolist()], dtype=object)[
+        at.reshape(tensor._idx.shape)]
+    cells[:, -1] = list(map(format_value, tensor._val.tolist()))
+    lines = [f"tcp v1 order={tensor.order} dim={tensor.dim}", *map(" ".join, cells.tolist())]
     if q is not None:
-        lines.append("q " + " ".join(format_value(v) for v in q))
+        lines.append("q " + " ".join(map(format_value, q.tolist())))
     return "\n".join(lines) + "\n"
 
 
@@ -296,11 +364,11 @@ def generate_ks_instance(order, dim, density=0.3, seed=0):
     Raises ValueError, before drawing, when order < 2 or dim < 1, density is
     not in (0, 1], max(dim, 2)**order overflows np.intp, or the instance
     would store more than MAX_ENTRIES entries.  At the cap, `tcpsolve gen`
-    at order 62 dim 2 (the slowest shape) takes 1.3-1.7 s at a 252 MB
-    peak, 0.08-0.11 s of it in the Tensor constructor; order 39 dim 3 takes
-    1.1-1.2 s, order 10 dim 9 0.5-0.6 s, order 6 dim 10 0.5 s and order 2
-    dim 19999 0.4-0.5 s, interpreter start included (Python 3.11, numpy
-    2.4, 2-CPU x86-64), so every admitted draw finishes within 60 s.
+    at order 62 dim 2 (the slowest shape) takes 0.8-0.9 s at a 246 MB
+    peak, 0.04 s of it in the Tensor checks; order 39 dim 3 takes 0.5 s,
+    order 10 dim 9 0.25-0.27 s, order 6 dim 10 0.2 s and order 2 dim 19999
+    0.19 s, interpreter start included (Python 3.11, numpy 2.4, 2-CPU
+    x86-64), so every admitted draw finishes within 60 s.
     """
     if order < 2 or dim < 1:
         raise ValueError(f"require order >= 2 and dim >= 1, got order={order} dim={dim}")
@@ -323,7 +391,7 @@ def generate_ks_instance(order, dim, density=0.3, seed=0):
     values = rng.uniform(0.2, 1.0, count)
     mass = np.bincount(idx[:, 0], weights=values, minlength=dim)
     rows = np.concatenate([idx, np.repeat(np.arange(dim)[:, None], order, axis=1)])
-    tensor = Tensor(order, dim, zip(rows, np.concatenate([-values, 1.0 + mass])))
+    tensor = Tensor.from_arrays(order, dim, rows, np.concatenate([-values, 1.0 + mass]))
     q = rng.uniform(0.0, 1.0, dim)
     ks = classify.is_ks_tensor(tensor)
     cond2 = classify.satisfies_condition2(tensor)

@@ -46,23 +46,31 @@ def _distinct_permutations(seq):
 MAX_ORDER = 62
 
 
+def checked_shape(order, dim):
+    """(order, dim) as ints, or ValueError when they are not integers with
+    order in 2..MAX_ORDER and dim in 1..2**63-1, the shapes a Tensor takes."""
+    if not (all(isinstance(v, (int, np.integer)) for v in (order, dim))
+            and 2 <= order <= MAX_ORDER and 1 <= dim < 2 ** 63):
+        raise ValueError(f"tensor needs integer order in 2..{MAX_ORDER} and dimension in "
+                         f"1..2**63-1, got {order!r}, {dim!r}")
+    return int(order), int(dim)
+
+
 class Tensor:
     """Order-m, dimension-n real tensor stored as sparse coordinates.
 
     The entries are `_idx`, the (nnz, m) intp index rows in sorted order, and
-    `_val`, their finite nonzero values.  The constructor takes a mapping or
-    an iterable of (index, value) pairs and checks them all at once: indices
-    of length m with integer entries in 0..n-1, finite values, and no index
-    twice (zero values included); zero values are then dropped.  So every
-    scan of the entries depends only on the tensor's value, not on input order.
+    `_val`, their finite nonzero values.  `from_arrays` takes (k, m) integer
+    index rows and k values; the constructor takes a mapping or an iterable
+    of (index, value) pairs and hands their arrays to the same checks, of
+    all entries at once: indices of length m with integer entries in
+    0..n-1, finite values, and no index twice (zero values included); zero
+    values are then dropped.  So every scan of the entries depends only on
+    the tensor's value, not on input order.
     """
 
     def __init__(self, order, dim, entries):
-        if not (all(isinstance(v, (int, np.integer)) for v in (order, dim))
-                and 2 <= order <= MAX_ORDER and 1 <= dim < 2 ** 63):
-            raise ValueError(f"tensor needs integer order in 2..{MAX_ORDER} and dimension in "
-                             f"1..2**63-1, got {order!r}, {dim!r}")
-        self.order, self.dim = m, n = int(order), int(dim)
+        m, _ = checked_shape(order, dim)
         pairs = list(entries.items() if hasattr(entries, "items") else entries)
         keys = [k for k, _ in pairs]
         if set(map(len, keys)) - {m}:
@@ -73,10 +81,30 @@ class Tensor:
                                           for key in keys for i in key):
             # numpy gives floats for mixed uint64/int64 and objects for ints beyond int64
             idx = np.array([[int(i) for i in key] for key in keys], dtype=object)
-        elif idx.dtype.kind not in "iu":
+        self._store(order, dim, idx, [v for _, v in pairs])
+
+    @classmethod
+    def from_arrays(cls, order, dim, idx, val):
+        """Tensor with entry val[r] at index row idx[r], for a (k, m) integer
+        array idx and k values, under the constructor's checks."""
+        tensor = cls.__new__(cls)
+        tensor._store(order, dim, idx, val)
+        return tensor
+
+    def _store(self, order, dim, idx, val):
+        """Check the entries (idx[r], val[r]) as the class describes and store them."""
+        self.order, self.dim = m, n = checked_shape(order, dim)
+        idx, val = np.asarray(idx), np.asarray(val, dtype=float)
+        if idx.ndim != 2 or val.shape != idx.shape[:1]:
+            raise ValueError(f"need a (k, {m}) index array and k values, got shapes "
+                             f"{idx.shape} and {val.shape}")
+        if len(idx) and idx.shape[1] != m:
+            raise ValueError(f"index {tuple(idx[0].tolist())} does not have length {m}")
+        if not (idx.dtype.kind in "iu" or idx.dtype.kind == "O" and all(
+                isinstance(i, (int, np.integer)) for i in idx.flat)):
             raise ValueError(f"indices must be integers in 0..{n - 1}, got {idx.dtype}")
+        idx = idx.reshape(len(idx), m)
         _reject((idx < 0) | (idx >= n), idx, f"index {{}} out of range 0..{n - 1}")
-        val = np.array([v for _, v in pairs], dtype=float).reshape(len(pairs))
         _reject(~np.isfinite(val), idx, "entry {} has a non-finite value")
         # lexsort's last key is its first: rows sorted as tuples would be
         rank = np.lexsort(idx.T[::-1])
@@ -124,7 +152,7 @@ class Tensor:
         array = np.asarray(array, dtype=float)
         if array.ndim < 2 or array.shape != (array.shape[0],) * array.ndim:
             raise ValueError(f"dense tensor must be hypercubic of order >= 2, got {array.shape}")
-        return cls(array.ndim, array.shape[0], zip(np.argwhere(array), array[array != 0]))
+        return cls.from_arrays(array.ndim, array.shape[0], np.argwhere(array), array[array != 0])
 
     def to_dense(self):
         out = np.zeros((self.dim,) * self.order)
@@ -260,7 +288,7 @@ def _sum_terms(x, n, terms, size):
     k = x.shape[0]
     w = np.tile(val, (k, 1))
     for c in cols:
-        w *= x[:, c]
+        w *= x.take(c, axis=1)
     bins = (pos + size * np.arange(k)[:, None]).ravel()
     return np.bincount(bins, weights=w.ravel(), minlength=k * size).reshape(k, size)
 
@@ -289,16 +317,17 @@ def first_positive_group(keys, values):
 
 def identity(order, dim):
     """Identity tensor: ones on the diagonal, zero elsewhere."""
-    return Tensor(order, dim, {(i,) * order: 1.0 for i in range(dim)})
+    m, n = checked_shape(order, dim)
+    return Tensor.from_arrays(m, n, np.repeat(np.arange(n)[:, None], m, axis=1), np.ones(n))
 
 
 def _shifted(tensor, s, sign):
-    """s*I + sign*A for A = tensor and sign = 1.0 or -1.0, in one constructor call:
+    """s*I + sign*A for A = tensor and sign = 1.0 or -1.0, in one `from_arrays` call:
     diagonal entry i is s + sign*a[i, .., i], dropped when it is 0."""
     m, n, off = tensor.order, tensor.dim, tensor.off_diagonal()
     rows = np.concatenate([tensor._idx[off], np.repeat(np.arange(n)[:, None], m, axis=1)])
     vals = np.concatenate([sign * tensor._val[off], s + sign * tensor.diagonal()])
-    return Tensor(m, n, zip(rows, vals))
+    return Tensor.from_arrays(m, n, rows, vals)
 
 
 # kernel terms per stacked call, in `first_passing` and the classifier's

@@ -620,9 +620,10 @@ class TestMTensor:
 
     @pytest.mark.parametrize("name", ["ex5_1", "ex5_3", "ex3_1"])
     def test_spectral_route_builds_two_tensors(self, monkeypatch, name):
-        # B = s*I - W and the shifted B + s0*I, one constructor call each
+        # B = s*I - W and the shifted B + s0*I, one entry check each (every
+        # build, by pairs or by arrays, runs `Tensor._store` once)
         w = ks_split(builtin_tensor(name)).W
-        built = count_calls(monkeypatch, Tensor, "__init__")
+        built = count_calls(monkeypatch, Tensor, "_store")
         cert = _m_check(w)
         assert cert.method == "spectral_bracket" and cert.evidence["bracket"].shifted
         assert len(built) == 2

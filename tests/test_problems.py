@@ -86,6 +86,16 @@ class TestParseErrors:
             parse(f"# too large\ntcp v1 {header}\n")
         assert excinfo.value.line_no == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("tcp v1 order=1000000 dim=2\na 1 1 1\n", r"order in 2\.\.62"),
+        ("tcp v1 order=3 dim=36893488147419103232\nq 1\n", r"dimension in 1\.\.2\*\*63-1")],
+        ids=["order-then-entry", "dim-then-q"])
+    def test_header_limits_precede_later_lines(self, text, message):
+        # the constructor's limits are checked at the header, before the
+        # lines that follow it are read against an impossible shape
+        with pytest.raises(FormatError, match=f"^line 1: .*{message}"):
+            parse_problem(text)
+
     def test_entry_token_count(self):
         with pytest.raises(FormatError, match="line 2: entry line needs 3 indices"):
             parse_problem("tcp v1 order=3 dim=2\na 1 1 1\n")
@@ -160,6 +170,60 @@ class TestParseErrors:
     def test_parse_tensor_still_validates_q(self):
         with pytest.raises(FormatError, match="line 2: q must be componentwise"):
             parse_tensor("tcp v1 order=3 dim=2\nq 0 -1\n")
+
+
+# one faulty line of each kind for "tcp v1 order=3 dim=2" after the entry
+# line "a 2 2 2 1" and, for "duplicate q", the line "q 0 1"
+FAULTS = {
+    "token count": "a 1 1 1",
+    "non-integer index": "a 1 x 1 1",
+    "out-of-range index": "a 1 3 1 1",
+    "index past int64": "a 1 99999999999999999999 1 1",
+    "bad value": "a 1 1 1 abc",
+    "non-finite value": "a 1 1 1 inf",
+    "duplicate": "a 2 2 2 5",
+    "unknown tag": "b 1 1 1 1",
+    "duplicate q": "q 0 1",
+    "q count": "q 0",
+    "q bad value": "q 0 x",
+    "q non-finite": "q 0 nan",
+    "q negative": "q 0 -1",
+}
+
+
+class TestErrorPrecedence:
+    """The error names the earliest faulty line, whatever the kinds of the
+    faults and however the parser batches its checks."""
+
+    @staticmethod
+    def text(first, second, fixed=False):
+        # lines 1-3 are fault-free; the faults go on lines 4 and 5
+        q = "q 0 1" if "duplicate q" in (first, second) else "# no q yet"
+        last = "# fixed" if fixed else FAULTS[second]
+        return "\n".join(["tcp v1 order=3 dim=2", "a 2 2 2 1", q, FAULTS[first], last]) + "\n"
+
+    @staticmethod
+    def error(text):
+        with pytest.raises(FormatError) as excinfo:
+            parse_problem(text)
+        return excinfo.value.line_no, str(excinfo.value)
+
+    @pytest.mark.parametrize("first, second", itertools.product(FAULTS, FAULTS))
+    def test_earlier_line_wins(self, first, second):
+        line_no, message = self.error(self.text(first, second))
+        assert line_no == 4
+        # the same message as with line 5 mended
+        assert message == self.error(self.text(first, second, fixed=True))[1]
+
+    @pytest.mark.parametrize("line, message", [
+        ("a 1 3 1 abc", r"index \(1, 3, 1\) out of range"),
+        ("a 1 x 3 inf", "indices must be integers"),
+        ("a 2 2 2 nan", "non-finite value 'nan'"),
+        ("a 2 2 2 x", "bad value 'x'")])
+    def test_checks_within_a_line_keep_their_order(self, line, message):
+        text = f"tcp v1 order=3 dim=2\na 2 2 2 1\n{line}\nq 0 1\n"
+        with pytest.raises(FormatError, match=f"^line 3: {message}"):
+            parse_problem(text)
 
 
 class TestParsing:
@@ -457,14 +521,25 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def tcp_problems(draw):
-    order = draw(st.integers(2, 4))
-    dim = draw(st.integers(1, 3))
-    index = st.tuples(*[st.integers(0, dim - 1)] * order)
-    entries = draw(st.dictionaries(index, finite, max_size=12))
-    q = draw(st.lists(st.floats(min_value=0.0, allow_infinity=False),
+def tcp_inputs(draw):
+    """A problem of order 2-6 and dimension 1-8, or a bare tensor of
+    dimension 2**62; values include integers at and past 1e16, subnormals
+    and negatives, and q has zeros."""
+    order = draw(st.integers(2, 6))
+    dim = draw(st.one_of(st.integers(1, 8), st.just(2 ** 62)))
+    coordinate = st.one_of(st.integers(0, dim - 1), st.sampled_from([0, dim - 1]))
+    value = st.one_of(
+        finite, st.integers(-10 ** 17, 10 ** 17).map(float),
+        st.sampled_from([1e16, -1e16, 1e16 - 2, 1e16 + 2, 2.0 ** 53 + 2, 5e-324, -5e-324,
+                         2.225073858507201e-308, -1.5e-310]))
+    entries = draw(st.dictionaries(st.tuples(*[coordinate] * order), value, max_size=12))
+    tensor = Tensor(order, dim, entries)
+    if dim == 2 ** 62:
+        return tensor
+    q = draw(st.lists(st.one_of(st.just(0.0), st.floats(min_value=0.0, allow_infinity=False),
+                                st.sampled_from([1e16, 1e16 + 2, 5e-324])),
                       min_size=dim, max_size=dim))
-    return TCPProblem(Tensor(order, dim, entries), q)
+    return TCPProblem(tensor, q)
 
 
 # lines near the grammar, so that generated text reaches the entry and q
@@ -480,12 +555,16 @@ near_miss_text = st.builds("\n".join, st.lists(near_miss_lines, max_size=6))
 
 class TestFormatProperties:
 
-    @settings(max_examples=200, deadline=None)
-    @given(tcp_problems())
-    def test_parse_inverts_serialize(self, problem):
-        text = serialize_problem(problem)
-        assert parse_problem(text) == problem
-        assert serialize_problem(parse_problem(text)) == text
+    @settings(max_examples=300, deadline=None)
+    @given(tcp_inputs())
+    def test_parse_inverts_serialize(self, obj):
+        if isinstance(obj, Tensor):
+            parse, serialize = parse_tensor, serialize_tensor
+        else:
+            parse, serialize = parse_problem, serialize_problem
+        text = serialize(obj)
+        assert parse(text) == obj
+        assert serialize(parse(text)).encode() == text.encode()
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(st.text(), near_miss_text))

@@ -238,6 +238,54 @@ class TestConstruction:
             assert t._val.tobytes() == np.array([v for _, v in expected], dtype=float).tobytes()
         assert 40 < rejected < 360
 
+    def test_from_arrays_matches_pairs(self):
+        """`Tensor.from_arrays` and the pairs constructor store the same
+        arrays and raise the same ValueError messages: random index arrays
+        (now and then of the wrong width, with an index out of range, a
+        non-finite value or a repeated row) at dimensions up to 2**62, and
+        bad shapes and index types."""
+        def outcome(build):
+            try:
+                t = build()
+            except ValueError as e:
+                return str(e)
+            return (t.order, t.dim, t._idx.dtype, t._idx.shape, t._idx.tobytes(),
+                    t._val.tobytes())
+
+        rng = np.random.default_rng(29)
+        cases = []
+        for _ in range(400):
+            order = int(rng.integers(2, 6))
+            dim = int(rng.choice([1, 2, 3, 8, 2 ** 62]))
+            k = int(rng.integers(0, 8))
+            idx = rng.integers(0, dim, size=(k, order + int(rng.random() < 0.05)))
+            if k and rng.random() < 0.1:
+                idx[rng.integers(k), rng.integers(order)] = rng.choice([-1, dim])
+            val = rng.choice([0.0, -1.5, 0.25, 2.0, 1e-310, math.inf, math.nan],
+                             p=[0.2, 0.2, 0.2, 0.2, 0.16, 0.02, 0.02], size=k)
+            if k and rng.random() < 0.1:
+                idx, val = np.vstack([idx, idx[:1]]), np.append(val, 0.0)
+            cases.append((order, dim, idx, val))
+        one = np.ones(1)
+        cases += [(1, 2, np.zeros((1, 1), int), one), (3, 0, np.zeros((0, 3), int), one[:0]),
+                  (MAX_ORDER + 1, 2, np.zeros((0, 63), int), one[:0]),
+                  (2, 2 ** 63, np.zeros((1, 2), int), one), (2, 2, np.zeros((1, 2)), one),
+                  (2, 2, np.array([[1, 2 ** 63]], np.uint64), one),
+                  (2, 2, np.array([[1, 0]], np.uint64), one), (2, 2, np.zeros((1, 3), int), one)]
+        rejected = 0
+        for order, dim, idx, val in cases:
+            pairs = list(zip(map(tuple, idx.tolist()), val.tolist()))
+            expected = outcome(lambda: Tensor(order, dim, pairs))
+            assert outcome(lambda: Tensor.from_arrays(order, dim, idx, val)) == expected
+            rejected += isinstance(expected, str)
+        assert 40 < rejected < 300
+
+    def test_from_arrays_rejects_misshapen_arrays(self):
+        with pytest.raises(ValueError, match=r"need a \(k, 2\) index array and k values"):
+            Tensor.from_arrays(2, 2, np.zeros(2, int), np.ones(1))
+        with pytest.raises(ValueError, match=r"got shapes \(2, 2\) and \(3,\)"):
+            Tensor.from_arrays(2, 2, np.eye(2, dtype=int), np.ones(3))
+
     def test_entries_in_sorted_order(self):
         entries = [((1, 0, 1), 2.0), ((0, 1, 1), -1.0), ((1, 1, 0), 0.0),
                    ((0, 0, 0), 3.0), ((1, 0, 0), 4.0)]
