@@ -131,13 +131,14 @@ def _leading(kind, tokens, width):
 
 
 def _entries(rows, lines, order, dim):
-    """(idx, val), the 1-based int64 index rows and the values of the entry
-    lines whose token lists are rows, or the FormatError of the first
-    faulty one; lines holds their line numbers.
+    """The tensor of the entry lines whose token lists are rows, or the
+    FormatError of the first faulty one; lines holds their line numbers.
 
     Each check runs on the rows before the earliest fault found so far, in
     the order of a line's own checks, so the error is the earliest line's
-    and, within a line, the one its first failing check names.
+    and, within a line, the one its first failing check names.  Repeated
+    indices, the last check, are left to `Tensor.from_arrays`, whose sort
+    is then the only one a valid text pays for.
     """
     cells = np.array(rows, dtype=object).reshape(len(rows), order + 2)
     ints, row = _leading(int, cells[:, 1:-1].ravel().tolist(), order)
@@ -162,15 +163,18 @@ def _entries(rows, lines, order, dim):
         row = int(np.argmax(bad))
         fault, val = (row, f"non-finite value {cells[row, -1]!r}"), val[:row]
     idx = idx[:len(val)]
-    # a stable sort keeps equal rows in line order: each repeat follows its first
-    rank = np.lexsort(idx.T[::-1])
-    repeat = (idx[rank[1:]] == idx[rank[:-1]]).all(axis=1)
-    if repeat.any():
+    try:
+        tensor = Tensor.from_arrays(order, dim, idx - 1, val)
+    except ValueError:
+        # a repeat is the one fault left; a stable sort keeps equal rows in
+        # line order, so each repeat follows its first
+        rank = np.lexsort(idx.T[::-1])
+        repeat = (idx[rank[1:]] == idx[rank[:-1]]).all(axis=1)
         row = int(rank[1:][repeat].min())
         fault = row, f"duplicate entry for index {tuple(idx[row].tolist())}"
     if fault is not None:
         raise FormatError(lines[fault[0]], fault[1])
-    return idx, val
+    return tensor
 
 
 def _parse(text):
@@ -199,10 +203,10 @@ def _parse(text):
                 break
     if shape is None:
         raise FormatError(1, "missing header 'tcp v1 order=<m> dim=<n>'")
-    idx, val = _entries(rows, lines, order, dim)
+    tensor = _entries(rows, lines, order, dim)
     if fault is not None:
         raise fault
-    return Tensor.from_arrays(order, dim, idx - 1, val), q
+    return tensor, q
 
 
 def parse_problem(text, name=""):

@@ -11,13 +11,15 @@ search on the l1 exact penalty merit, which judges every QP step; the
 search scores its halvings in stacked contractions (`first_passing`).
 Lagrangian curvature is tracked by damped BFGS updates, so only constraint
 values and Jacobians of the tensor map are needed, each evaluated once per
-accepted point.  Once the support that the KKT residual identifies stops
-changing, a Newton solve on it that verifies ends the run inside the loop.
-A search that finds no merit decrease ends the run, and every run that
-the loop does not finish on such a solve ends with Newton solves on
-candidate supports of its last iterate.  Under the row-wise certificate
-below, a candidate support that leaves out some i with q_i > eps2 cannot
-verify, and is skipped.
+accepted point.  After every accepted step, a Newton solve on the support
+that the KKT residual identifies ends the run inside the loop when it
+verifies.  A search that finds no merit decrease ends the run, and every
+run that the loop does not finish on such a solve ends with Newton solves
+on candidate supports of its last iterate.  Each Newton solve stops at its
+first iterate that verifies; only the one whose point the run returns goes
+on, from there, to roundoff.  Under the row-wise certificate below, a
+candidate support that leaves out some i with q_i > eps2 cannot verify,
+and is skipped.
 
 `multistart_sparse` runs the solver from a batch of seeded random starts and
 returns the sparsest verified solution, which is the intended entry point.
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qp import QP, solve_qp
-from .tensors import first_passing, newton_on_support
+from .tensors import first_passing, newton_iterates, newton_on_support
 
 __all__ = ["SQPConfig", "SolveReport", "IterationRecord", "Verification",
            "MultistartResult", "sqp_solve", "multistart_sparse", "verify_solution",
@@ -234,31 +236,36 @@ def _verification(x, w):
     )
 
 
-def _first_verified(problem, candidates, eps2):
-    """(x, A x^(m-1) - q) at the Newton point of the first (support, start)
-    candidate that verifies, or None.
+def _verified(x, h, eps2):
+    """Whether x passes `verify_solution` on all n rows of both systems at
+    eps2, judged on h = A x^(m-1) - q; a point with max |h| > eps2 fails
+    before the full check."""
+    return np.max(np.abs(h)) <= eps2 and _verification(x, h).max_violation <= eps2
 
-    Verified: `verify_solution` passes on all n rows of both systems at
-    eps2, judged on the map value Newton returns with the point.  A
-    candidate is skipped before any Newton work when its support leaves out
-    some i with q_i > eps2 and either the support is empty (x = 0 leaves
+
+def _first_verified(problem, candidates, eps2):
+    """(x, A x^(m-1) - q, support, rest) at the first verified Newton
+    iterate of the first (support, start) candidate that has one, or None;
+    rest is that candidate's `newton_iterates` from that iterate on.
+
+    A candidate is skipped before any Newton work when its support leaves
+    out some i with q_i > eps2 and either the support is empty (x = 0 leaves
     w = -q) or the tensor has the row-wise certificate of
     `_reformulation_notes` (Newton's point is >= 0 with x_i = 0, so
     (A x^(m-1))_i <= 0 and w_i < -eps2): its point cannot verify.
     """
-    needed = problem.q > eps2
+    tensor, q = problem.tensor, problem.q
+    needed = q > eps2
     count = np.count_nonzero(needed)
-    certified = problem.tensor.rowwise_witness is None
+    certified = tensor.rowwise_witness is None
     for support, x0 in candidates:
         if (certified or not support.size) and np.count_nonzero(needed[support]) < count:
             continue
-        found = newton_on_support(problem.tensor, problem.q, support, x0)
-        if found is None:
-            continue
-        x, h = found[0], found[1] - problem.q
-        check = _verification(x, h)
-        if max(check.max_violation, check.equation_residual) <= eps2:
-            return x, h
+        run = newton_iterates(tensor, q, support, x0)
+        found = newton_on_support(tensor, q, support, run,
+                                  lambda x, ax: _verified(x, ax - q, eps2))
+        if found is not None:
+            return found[0], found[1] - q, support, itertools.chain([found], run)
     return None
 
 
@@ -273,7 +280,10 @@ def _newton_finish(problem, candidates, eps2):
     empty support, then on each (support, start) candidate in turn, or None.
     x = 0 verifies exactly when max |q| <= eps2, and no point is sparser;
     from any other first verified point, coordinates are dropped one at a
-    time while a verified point remains.
+    time while a verified point remains.  Each Newton solve stops at its
+    first verified iterate, and the drop-one candidates start there; only
+    the last solve then runs on to its end, so the point returned is that
+    of the uninterrupted solve, unless that point fails to verify.
     """
     found = _first_verified(problem, itertools.chain(
         [(np.arange(0), np.zeros(problem.dim))], candidates), eps2)
@@ -282,7 +292,13 @@ def _newton_finish(problem, candidates, eps2):
         best = found
         x = best[0]
         found = _first_verified(problem, _drop_one(np.flatnonzero(x > 0.0), x), eps2)
-    return best
+    if best is None:
+        return None
+    x, h, support, rest = best
+    polished = newton_on_support(problem.tensor, problem.q, support, rest)
+    if polished is not None and _verified(polished[0], polished[1] - problem.q, eps2):
+        return polished[0], polished[1] - problem.q
+    return x, h
 
 
 def _support_solution(problem, x, eps2):
@@ -348,7 +364,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
     iterations = 0
     step_norm = np.inf
     inexact_qps = 0
-    support = found = None
+    found = None
     # h = A x^(m-1) - q, its infeasibility and jac always belong to the
     # current x: each accepted step carries the values its line search, its
     # trace record and its BFGS update computed
@@ -399,14 +415,12 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             merit=phi_new, infeasibility=infeas, qp_iterations=qp_res.iterations))
         x, h, jac = x_new, h_new, jac_new
         # coordinates above sqrt of the KKT residual are the identified
-        # support (Facchinei, Fischer & Kanzow 1998); once it repeats,
-        # Newton on it replaces the linear tail of a degenerate root
+        # support (Facchinei, Fischer & Kanzow 1998); Newton on it replaces
+        # the linear tail of a degenerate root
         r = max(float(np.max(np.abs(h))), float(np.max(np.abs(np.minimum(x, lam)))))
-        previous, support = support, np.flatnonzero(x > np.sqrt(r))
-        if previous is not None and np.array_equal(support, previous):
-            found = _newton_finish(problem, [(support, x)], cfg.eps2)
-            if found is not None:
-                break
+        found = _newton_finish(problem, [(np.flatnonzero(x > np.sqrt(r)), x)], cfg.eps2)
+        if found is not None:
+            break
 
     if inexact_qps > 1:
         notes.append(f"{inexact_qps} of {iterations} QP subproblems solved "

@@ -15,7 +15,9 @@ Jacobian comes from the product rule on the stored entries, each entry and
 tail slot one term.  Both maps cache their term lists on the tensor at first
 use and sum them with one kernel, `_sum_terms`, at a point or a (k, n) stack;
 `first_passing` scores the trial points of a backtracking ladder in such
-stacks.  The entry certificates' exact group sums share one kernel too,
+stacks.  Newton on a support is a generator of its iterates
+(`newton_iterates`), so a caller can stop it at any iterate and resume it
+later.  The entry certificates' exact group sums share one kernel too,
 `first_positive_group`.
 """
 
@@ -27,8 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Tensor", "SpectralBracket", "identity", "newton_on_support",
-           "spectral_radius"]
+__all__ = ["Tensor", "SpectralBracket", "identity", "newton_iterates",
+           "newton_on_support", "spectral_radius"]
 
 
 def _distinct_permutations(seq):
@@ -353,15 +355,14 @@ def first_passing(tensor, x, d, alphas, passes):
 
     passes(steps, points, values) gets (k,) step lengths, their (k, n) trial
     points and contractions, and returns k bools.  The trials are contracted
-    in order, the first as a point, then in stacks of 2, 4, 8, .. rows, at
-    most `stack_rows`; on a small tensor 50 halvings cost 6 calls.  Each
+    in order, in stacks of `stack_rows` rows (a stack of one row as a
+    point); on a small tensor a ladder of 50 halvings costs one call.  Each
     row equals the point call bit for bit, so the pick is that of a loop
     over alphas.
     """
     cap = stack_rows(tensor)
-    start, size = 0, 1
-    while start < alphas.size:
-        steps = alphas[start:start + size]
+    for start in range(0, alphas.size, cap):
+        steps = alphas[start:start + cap]
         points = x + steps[:, None] * d
         # a trial lost to rounding would pass without moving x
         moved = (points != x).any(axis=1)
@@ -372,12 +373,12 @@ def first_passing(tensor, x, d, alphas, passes):
             hits = np.flatnonzero(passes(steps, points, values))
             if hits.size:
                 return float(steps[hits[0]]), points[hits[0]], values[hits[0]]
-        start, size = start + size, min(2 * size, cap)
     return None
 
 
-def newton_on_support(tensor, rhs, support, x0):
-    """Damped Newton on (A x^{m-1})_S = rhs_S with x = 0 off S and x_S > 0.
+def newton_iterates(tensor, rhs, support, x0):
+    """Damped Newton on (A x^{m-1})_S = rhs_S with x = 0 off S and x_S > 0,
+    as a generator of its iterates (x, A x^{m-1}), the start first.
 
     S is the index array `support`; x0 gives the start on S and must be
     positive there.  Each step is cut to at most 95% of the way to the
@@ -385,35 +386,39 @@ def newton_on_support(tensor, rhs, support, x0):
     the full step is tried as a point and the halvings down to 1e-10 are
     scored in stacked contractions by `first_passing`.  The iteration ends
     after 60 steps, or sooner when that residual reaches roundoff (at once
-    for an empty S, whose residual is empty) or no halving helps.  Returns
-    the last iterate x with the full A x^{m-1} there, or None when the
-    Jacobian block on S is singular or the step is not finite; callers
-    verify the point.
+    for an empty S, whose residual is empty) or no halving helps.  When the
+    Jacobian block on S is singular or the step is not finite, it yields
+    None after its last iterate.  Each point is contracted and
+    differentiated at most once, so a run stopped part way can be resumed
+    at no extra cost.
     """
     x = np.zeros(tensor.dim)
     x[support] = x0[support]
     ax = tensor.contract(x)
+    yield x, ax
     rhs = rhs[support]
     r = ax[support] - rhs
     norm = float(np.max(np.abs(r), initial=0.0))
     tol = 1e-14 * max(1.0, float(np.max(np.abs(rhs), initial=0.0)))
     for _ in range(60):
         if norm <= tol:
-            break
+            return
         jac = tensor.jacobian(x)
         try:
             dx = np.linalg.solve(jac[np.ix_(support, support)], -r)
         except np.linalg.LinAlgError:
-            return None
+            yield None
+            return
         if not np.all(np.isfinite(dx)):
-            return None
+            yield None
+            return
         # only coordinates whose full step crosses 95% of the way to 0 cut
         # it; their ratios are < 1, so a subnormal dx_i cannot overflow one
         room = 0.95 * x[support]
         binding = -dx > room
         alpha = float(np.min(room[binding] / -dx[binding])) if binding.any() else 1.0
         if alpha <= 1e-10:
-            break
+            return
         trial = x.copy()
         trial[support] += alpha * dx
         ax_trial = tensor.contract(trial)
@@ -427,12 +432,30 @@ def newton_on_support(tensor, rhs, support, x0):
             found = first_passing(tensor, x, step, alphas[alphas > 1e-10], lambda steps, points,
                                   values: np.max(np.abs(values[:, support] - rhs), axis=1) < norm)
             if found is None:
-                break
+                return
             _, trial, ax_trial = found
             r_trial = ax_trial[support] - rhs
             norm_trial = float(np.max(np.abs(r_trial)))
         x, ax, r, norm = trial, ax_trial, r_trial, norm_trial
-    return x, ax
+        yield x, ax
+
+
+def newton_on_support(tensor, rhs, support, x0, until=None):
+    """The last iterate (x, A x^{m-1}) of `newton_iterates(tensor, rhs,
+    support, x0)`, or None when that run ends on a singular Jacobian block
+    or a step that is not finite; callers verify the point.
+
+    x0 may also be an iterator of such iterates, for instance a run stopped
+    part way, behind the iterate it stopped at: the call then goes on with
+    it.  With until, the call stops at the first iterate (x, ax) for which
+    until(x, ax) holds and returns it, or returns None when no iterate does.
+    """
+    run = newton_iterates(tensor, rhs, support, x0) if isinstance(x0, np.ndarray) else x0
+    last = None
+    for last in run:
+        if until is not None and last is not None and until(*last):
+            return last
+    return None if until is not None else last
 
 
 @dataclass(frozen=True)

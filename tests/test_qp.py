@@ -570,7 +570,7 @@ class TestSolveQP:
                 answered += 1
         assert answered > 20
 
-    @pytest.mark.parametrize("name, starts", [("ex5_1", range(6)), ("ex5_4", range(10))])
+    @pytest.mark.parametrize("name, starts", [("ex5_1", range(6)), ("ex5_4", range(16))])
     def test_sqp_subproblems_match_reference_bits(self, monkeypatch, name, starts):
         # the subproblems SQP hands in: warm starts, vanishing rows, and
         # infeasible linearizations that stop inexact, each solved once as

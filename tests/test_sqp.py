@@ -452,6 +452,15 @@ class TestSQPSolve:
         assert max(r.iterations for r in result.reports) <= 12
         assert any(r.solved_by == "identified" for r in result.reports)
 
+    @pytest.mark.parametrize("name, starts, first", [("ex5_5", 20, 12), ("ex5_2", 20, 17)])
+    def test_identification_follows_every_step(self, name, starts, first):
+        # Newton on the identified support runs after every accepted step,
+        # the first included, so a run can end `identified` after one
+        # iteration; a loop that waited for the support to repeat could not
+        reports = multistart_sparse(builtin(name), n_starts=starts, seed=42).reports
+        assert sum(r.solved_by == "identified" and r.iterations == 1
+                   for r in reports) == first
+
     @pytest.mark.parametrize("arg, value", [
         ("x0", [np.nan, 0.5]), ("x0", [0.5, 0.5, 0.5]),
         ("mu0", [0.5, np.inf]), ("mu0", [0.5]),
@@ -580,9 +589,135 @@ class TestCandidateSkip:
         assert counts() != {"sqp": 0, "identified": 19, "support": 1, None: 0}
 
 
-def reference_newton_on_support(tensor, rhs, support, x0):
+class TestVerifiedStop:
+    """Each Newton solve of a finish stops at its first iterate that
+    verifies; only the solve whose point the finish returns runs on, from
+    there to its end, so no point is contracted or differentiated twice."""
+
+    @staticmethod
+    def record_runs(monkeypatch):
+        """Wrap `newton_iterates` as sqp calls it; each run's record holds
+        its args, the iterates it yielded, and whether it ran to its end."""
+        runs = []
+
+        def iterates(*args, _real=sqp.newton_iterates):
+            record = {"args": args, "points": [], "done": False}
+            runs.append(record)
+
+            def run():
+                for item in _real(*args):
+                    record["points"].append(item)
+                    yield item
+                record["done"] = True
+
+            return run()
+
+        monkeypatch.setattr(sqp, "newton_iterates", iterates)
+        return runs
+
+    @pytest.mark.parametrize("name", GATE)
+    def test_returned_point_is_the_uninterrupted_run(self, monkeypatch, name):
+        # the run a finish returns went on past its stop to its end, and its
+        # point has the bits of `newton_on_support` from the same start
+        problem = builtin(name)
+        runs = self.record_runs(monkeypatch)
+        polished = 0
+        for k in range(20):
+            runs.clear()
+            report = sqp_solve(problem, *multistart_start(problem, k))
+            assert report.converged
+            done = [run for run in runs if run["done"] and run["points"][-1] is not None
+                    and run["points"][-1][0].tobytes() == report.x.tobytes()]
+            assert done
+            tensor, rhs, support, x0 = done[-1]["args"]
+            x, _ = newton_on_support(tensor, rhs, support, x0)
+            assert x.tobytes() == report.x.tobytes()
+            first = next(j for j, item in enumerate(done[-1]["points"])
+                         if solves_both_systems(problem, item[0], SQPConfig().eps2))
+            polished += first < len(done[-1]["points"]) - 1
+        assert polished > 0
+
+    @pytest.mark.parametrize("name", GATE)
+    def test_no_solve_runs_past_its_first_verified_iterate(self, monkeypatch, name):
+        # of the Newton runs of one SQP run, only the one whose point is
+        # reported may yield an iterate after its first verified one
+        problem = builtin(name)
+        eps2 = SQPConfig().eps2
+        runs = self.record_runs(monkeypatch)
+        stopped = 0
+        for k in range(20):
+            runs.clear()
+            report = sqp_solve(problem, *multistart_start(problem, k))
+            past = []
+            for run in runs:
+                points = [item for item in run["points"] if item is not None]
+                first = next((j for j, (x, _) in enumerate(points)
+                              if solves_both_systems(problem, x, eps2)), None)
+                if first is None:
+                    assert run["done"]
+                elif first < len(run["points"]) - 1:
+                    past.append(run)
+                else:
+                    stopped += not run["done"]
+            assert len(past) <= 1
+            assert all(run["done"] and run["points"][-1][0].tobytes() == report.x.tobytes()
+                       for run in past)
+        assert stopped > 0
+
+    def test_unverified_end_keeps_the_stop(self, monkeypatch):
+        # should the run on to the end fail (here: a singular block), the
+        # finish returns the verified iterate its solve stopped at; on
+        # ex5_4's start 0 its residual is 3.6e-6
+        problem = builtin("ex5_4")
+        stops = []
+
+        def newton(tensor, rhs, support, run, until=None, _real=sqp.newton_on_support):
+            if until is None:
+                return None
+            found = _real(tensor, rhs, support, run, until)
+            if found is not None:
+                stops.append(found[0].tobytes())
+            return found
+
+        monkeypatch.setattr(sqp, "newton_on_support", newton)
+        report = sqp_solve(problem, *multistart_start(problem, 0))
+        assert report.converged and report.solved_by == "identified"
+        assert report.x.tobytes() == stops[-1]
+        assert solves_both_systems(problem, report.x, SQPConfig().eps2)
+        assert report.tcp_residual > 1e-12
+
+    def test_failed_ladder_costs_one_stacked_contraction(self, monkeypatch):
+        # ex5_5 fits a whole ladder (50 halvings of a search, at most 33 of a
+        # Newton step) in one stack of `stack_rows` = 91 rows, so a ladder
+        # that finds no passing step contracts all its trials at once
+        problem = builtin("ex5_5")
+        assert tensors.stack_rows(problem.tensor) >= sqp.MAX_BACKTRACKS
+        shapes, failed = [], []
+
+        def contract(self, x, _real=Tensor.contract):
+            shapes.append(np.shape(x))
+            return _real(self, x)
+
+        def passing(*args, _real=tensors.first_passing):
+            shapes.clear()
+            found = _real(*args)
+            if found is None:
+                failed.append(list(shapes))
+            return found
+
+        monkeypatch.setattr(Tensor, "contract", contract)
+        monkeypatch.setattr(sqp, "first_passing", passing)
+        monkeypatch.setattr(tensors, "first_passing", passing)
+        multistart_sparse(problem, n_starts=20, seed=42)
+        assert len(failed) >= 2
+        assert all(len(calls) <= 1 for calls in failed)
+        assert sum(calls == [(sqp.MAX_BACKTRACKS, problem.dim)] for calls in failed) >= 2
+
+
+def reference_newton_on_support(tensor, rhs, support, x0, until=None):
     """`newton_on_support` with one point contraction per halving, as a
-    plain loop; also returns the number of halvings taken."""
+    plain loop, stopped at the first iterate that passes until when it is
+    given; also returns the number of halvings taken."""
     x = np.zeros(tensor.dim)
     x[support] = x0[support]
     ax = tensor.contract(x)
@@ -592,6 +727,8 @@ def reference_newton_on_support(tensor, rhs, support, x0):
     tol = 1e-14 * max(1.0, float(np.max(np.abs(rhs), initial=0.0)))
     halvings = 0
     for _ in range(60):
+        if until is not None and until(x, ax):
+            return (x, ax), halvings
         if norm <= tol:
             break
         jac = tensor.jacobian(x)
@@ -616,7 +753,10 @@ def reference_newton_on_support(tensor, rhs, support, x0):
         else:
             break
         x, ax, r, norm = trial, ax_trial, r_trial, norm_trial
-    return (x, ax), halvings
+    else:
+        if until is not None and until(x, ax):
+            return (x, ax), halvings
+    return (None if until is not None else (x, ax)), halvings
 
 
 def reference_line_search(problem, x, d, h, infeas, sigma):
@@ -672,21 +812,35 @@ class TestStackedLadders:
             np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
 
     def test_newton_matches_sequential_halvings(self, monkeypatch):
-        calls, halvings = [], 0
-        real = sqp.newton_on_support
+        # every Newton run of the finishes starts at `newton_iterates` and
+        # stops at its first verified iterate; a finish then runs the last
+        # run that stopped on to its end.  Both must give the plain loop's
+        # bits
+        starts, calls, halvings = {}, [], 0
+        stopped = [None]   # the args of the last run that stopped
 
-        def spy(*args):
-            found = real(*args)
-            calls.append((args, found))
+        def iterates(*args, _real=sqp.newton_iterates):
+            run = _real(*args)
+            starts[run] = args
+            return run
+
+        def newton(tensor, rhs, support, run, until=None, _real=sqp.newton_on_support):
+            found = _real(tensor, rhs, support, run, until)
+            args = starts[run] if until is not None else stopped[0]
+            if until is not None and found is not None:
+                stopped[0] = args
+            calls.append((args, until, found))
             return found
 
-        monkeypatch.setattr(sqp, "newton_on_support", spy)
-        for problem, starts in ladder_problems():
+        monkeypatch.setattr(sqp, "newton_iterates", iterates)
+        monkeypatch.setattr(sqp, "newton_on_support", newton)
+        for problem, n_starts in ladder_problems():
+            starts.clear()
             calls.clear()
-            multistart_sparse(problem, n_starts=starts, seed=42)
-            for args, found in calls:
-                want, taken = reference_newton_on_support(*args)
-                halvings += taken
+            multistart_sparse(problem, n_starts=n_starts, seed=42)
+            for args, until, found in calls:
+                want, taken = reference_newton_on_support(*args, until)
+                halvings += taken if until is not None else 0
                 assert self.same(found, want)
         assert halvings > 100
 
