@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .tensors import (Tensor, _shifted, _spectral_bracket, first_positive_group,
-                      newton_on_support, stack_rows)
+                      newton_iterates, stack_rows)
 
 __all__ = [
     "Verdict", "Certificate", "KSDecomposition",
@@ -173,7 +173,8 @@ def _m_check(tensor):
     x = ones = np.ones(tensor.dim)
     ax = tensor.contract(ones)
     if not np.all(ax > 0):
-        x, ax = newton_on_support(tensor, ones, np.arange(tensor.dim), ones) or (None, None)
+        *_, end = newton_iterates(tensor, ones, np.arange(tensor.dim), ones)
+        x, ax = end or (None, None)
     if x is not None and np.all(x > 0) and np.all(ax > 0):
         return Certificate(Verdict.CERTIFIED_TRUE, "positive_vector", witness=x,
                            detail="x > 0 with A x^(m-1) > 0 found")

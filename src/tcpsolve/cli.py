@@ -82,7 +82,7 @@ def _load(args, path, parse):
             return _error(e)
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         return _error(f"cannot read {path}: {e}")
     try:
         return parse(text)

@@ -15,11 +15,11 @@ accepted point.  After every accepted step, a Newton solve on the support
 that the KKT residual identifies ends the run inside the loop when it
 verifies.  A search that finds no merit decrease ends the run, and every
 run that the loop does not finish on such a solve ends with Newton solves
-on candidate supports of its last iterate.  Each Newton solve stops at its
-first iterate that verifies; only the one whose point the run returns goes
-on, from there, to roundoff.  Under the row-wise certificate below, a
-candidate support that leaves out some i with q_i > eps2 cannot verify,
-and is skipped.
+on candidate supports of its last iterate.  Each Newton solve reads a
+`newton_iterates` run up to its first iterate that verifies; only the run
+whose point is returned goes on, from there, to roundoff.  Under the
+row-wise certificate below, a candidate support that leaves out some i
+with q_i > eps2 cannot verify, and is skipped.
 
 `multistart_sparse` runs the solver from a batch of seeded random starts and
 returns the sparsest verified solution, which is the intended entry point.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .qp import QP, solve_qp
-from .tensors import first_passing, newton_iterates, newton_on_support
+from .tensors import first_passing, newton_iterates
 
 __all__ = ["SQPConfig", "SolveReport", "IterationRecord", "Verification",
            "MultistartResult", "sqp_solve", "multistart_sparse", "verify_solution",
@@ -244,9 +244,9 @@ def _verified(x, h, eps2):
 
 
 def _first_verified(problem, candidates, eps2):
-    """(x, A x^(m-1) - q, support, rest) at the first verified Newton
-    iterate of the first (support, start) candidate that has one, or None;
-    rest is that candidate's `newton_iterates` from that iterate on.
+    """(stop, rest) for the first (support, start) candidate whose Newton
+    run has a verified iterate, or None: stop is the first such iterate
+    (x, A x^(m-1)) and rest is that `newton_iterates` run from there on.
 
     A candidate is skipped before any Newton work when its support leaves
     out some i with q_i > eps2 and either the support is empty (x = 0 leaves
@@ -262,10 +262,9 @@ def _first_verified(problem, candidates, eps2):
         if (certified or not support.size) and np.count_nonzero(needed[support]) < count:
             continue
         run = newton_iterates(tensor, q, support, x0)
-        found = newton_on_support(tensor, q, support, run,
-                                  lambda x, ax: _verified(x, ax - q, eps2))
-        if found is not None:
-            return found[0], found[1] - q, support, itertools.chain([found], run)
+        for stop in run:
+            if stop is not None and _verified(stop[0], stop[1] - q, eps2):
+                return stop, run
     return None
 
 
@@ -285,20 +284,18 @@ def _newton_finish(problem, candidates, eps2):
     the last solve then runs on to its end, so the point returned is that
     of the uninterrupted solve, unless that point fails to verify.
     """
-    found = _first_verified(problem, itertools.chain(
-        [(np.arange(0), np.zeros(problem.dim))], candidates), eps2)
+    candidates = itertools.chain([(np.arange(0), np.zeros(problem.dim))], candidates)
     best = None
-    while found is not None:
+    while (found := _first_verified(problem, candidates, eps2)) is not None:
         best = found
-        x = best[0]
-        found = _first_verified(problem, _drop_one(np.flatnonzero(x > 0.0), x), eps2)
+        x = found[0][0]
+        candidates = _drop_one(np.flatnonzero(x > 0.0), x)
     if best is None:
         return None
-    x, h, support, rest = best
-    polished = newton_on_support(problem.tensor, problem.q, support, rest)
-    if polished is not None and _verified(polished[0], polished[1] - problem.q, eps2):
-        return polished[0], polished[1] - problem.q
-    return x, h
+    stop, rest = best
+    *_, end = itertools.chain([stop], rest)
+    x, ax = end if end is not None and _verified(end[0], end[1] - problem.q, eps2) else stop
+    return x, ax - problem.q
 
 
 def _support_solution(problem, x, eps2):

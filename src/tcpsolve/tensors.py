@@ -15,10 +15,10 @@ Jacobian comes from the product rule on the stored entries, each entry and
 tail slot one term.  Both maps cache their term lists on the tensor at first
 use and sum them with one kernel, `_sum_terms`, at a point or a (k, n) stack;
 `first_passing` scores the trial points of a backtracking ladder in such
-stacks.  Newton on a support is a generator of its iterates
-(`newton_iterates`), so a caller can stop it at any iterate and resume it
-later.  The entry certificates' exact group sums share one kernel too,
-`first_positive_group`.
+stacks.  Newton on a support has one interface, the generator of its
+iterates `newton_iterates`: a caller stops it at any iterate, resumes it
+later, or reads it to its end.  The entry certificates' exact group sums
+share one kernel too, `first_positive_group`.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["Tensor", "SpectralBracket", "identity", "newton_iterates",
-           "newton_on_support", "spectral_radius"]
+__all__ = ["Tensor", "SpectralBracket", "identity", "newton_iterates", "spectral_radius"]
 
 
 def _distinct_permutations(seq):
@@ -438,24 +437,6 @@ def newton_iterates(tensor, rhs, support, x0):
             norm_trial = float(np.max(np.abs(r_trial)))
         x, ax, r, norm = trial, ax_trial, r_trial, norm_trial
         yield x, ax
-
-
-def newton_on_support(tensor, rhs, support, x0, until=None):
-    """The last iterate (x, A x^{m-1}) of `newton_iterates(tensor, rhs,
-    support, x0)`, or None when that run ends on a singular Jacobian block
-    or a step that is not finite; callers verify the point.
-
-    x0 may also be an iterator of such iterates, for instance a run stopped
-    part way, behind the iterate it stopped at: the call then goes on with
-    it.  With until, the call stops at the first iterate (x, ax) for which
-    until(x, ax) holds and returns it, or returns None when no iterate does.
-    """
-    run = newton_iterates(tensor, rhs, support, x0) if isinstance(x0, np.ndarray) else x0
-    last = None
-    for last in run:
-        if until is not None and last is not None and until(*last):
-            return last
-    return None if until is not None else last
 
 
 @dataclass(frozen=True)

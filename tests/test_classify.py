@@ -572,17 +572,18 @@ class TestMTensor:
             contracted.append((id(tensor), np.asarray(x).tobytes()))
             return real_contract(tensor, x)
 
-        roots = []
-        real_newton = classify.newton_on_support
+        roots = []   # (root, contractions so far) when each Newton run ended
+        real_newton = classify.newton_iterates
 
         def newton(tensor, *args):
-            found = real_newton(tensor, *args)
-            if found is not None:
-                roots.append(((id(tensor), found[0].tobytes()), len(contracted)))
-            return found
+            end = None
+            for end in real_newton(tensor, *args):
+                yield end
+            if end is not None:
+                roots.append(((id(tensor), end[0].tobytes()), len(contracted)))
 
         monkeypatch.setattr(Tensor, "contract", recorded)
-        monkeypatch.setattr(classify, "newton_on_support", newton)
+        monkeypatch.setattr(classify, "newton_iterates", newton)
         is_nonsingular_m_tensor(builtin_tensor(name))
         for root, done in roots:
             assert root not in contracted[done:]

@@ -65,6 +65,18 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith(f"error: {path}: line 1: ")
 
+    @pytest.mark.parametrize("command, option", [("classify", "--tensor"),
+                                                 ("solve", "--problem")])
+    def test_undecodable_file(self, capsys, tmp_path, command, option):
+        # a 0xff byte in an entry value is not UTF-8: a read error, not a traceback
+        path = tmp_path / "bytes.tcp"
+        path.write_bytes(b"tcp v1 order=2 dim=1\na 1 1 1\xff\nq 1\n")
+        code, out, err = run(capsys, command, option, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "utf-8" in err
+
     def test_infeasible_problem_reports_failure(self, capsys, tmp_path):
         path = tmp_path / "infeasible.tcp"
         path.write_text(INFEASIBLE)

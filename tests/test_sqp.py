@@ -15,10 +15,11 @@ from tcpsolve import (SPARSITY_TOL, SQPConfig, TCPProblem, Tensor, builtin,
                       classify, generate_ks_instance, multistart_sparse,
                       reference_solution, sqp, sqp_solve, tensors, verify_solution)
 from tcpsolve.qp import QPResult
-from tcpsolve.tensors import newton_on_support
 from tcpsolve.sqp import (_support_solution, constraint_value, damped_bfgs,
                           infeasibility, least_squares_multipliers, merit,
                           update_penalty)
+
+from test_tensors import newton_end
 
 # the problems of the acceptance gate
 GATE = ("ex5_1", "ex5_2", "ex5_3", "ex5_4", "ex5_5", "ex3_1")
@@ -43,6 +44,27 @@ def record_evaluations(monkeypatch):
 
         monkeypatch.setattr(Tensor, method, recorded)
     return seen
+
+
+def record_runs(monkeypatch):
+    """Wrap `newton_iterates` as sqp calls it; each run's record holds its
+    args, the iterates it yielded, and whether it ran to its end."""
+    runs = []
+
+    def iterates(*args, _real=sqp.newton_iterates):
+        record = {"args": args, "points": [], "done": False}
+        runs.append(record)
+
+        def run():
+            for item in _real(*args):
+                record["points"].append(item)
+                yield item
+            record["done"] = True
+
+        return run()
+
+    monkeypatch.setattr(sqp, "newton_iterates", iterates)
+    return runs
 
 
 def solves_both_systems(problem, x, tol):
@@ -357,19 +379,18 @@ class TestSQPSolve:
                                           ("ex5_4", (0.5, 0.4, 0.3, 0.2))])
     def test_support_points_evaluated_once(self, monkeypatch, name, x0):
         # the real support solve verifies and reports each Newton point with
-        # the map value Newton returns, so no point it returns is contracted
+        # the map value Newton yields, so no point it yields is contracted
         # again
         seen = record_evaluations(monkeypatch)
         returned = []   # (contractions so far, point) per Newton point
 
-        def newton(*args, _real=sqp.newton_on_support):
-            found = _real(*args)
-            if found is not None:
-                x, _ = found
-                returned.append((len(seen["contract"]), x.tobytes()))
-            return found
+        def iterates(*args, _real=sqp.newton_iterates):
+            for item in _real(*args):
+                if item is not None:
+                    returned.append((len(seen["contract"]), item[0].tobytes()))
+                yield item
 
-        monkeypatch.setattr(sqp, "newton_on_support", newton)
+        monkeypatch.setattr(sqp, "newton_iterates", iterates)
         report = sqp_solve(builtin(name), np.array(x0))
         assert report.converged
         assert report.x.tobytes() in {x for _, x in returned}
@@ -386,23 +407,28 @@ class TestSQPSolve:
         problem = builtin(name)
         outside = []   # Jacobian points taken outside Newton solves
         depth = [0]
-        ends = []   # len(outside) when each Newton solve returned
+        ends = []   # len(outside) each time a Newton solve handed back control
 
         def jacobian(self, x, _real=Tensor.jacobian):
             if not depth[0]:
                 outside.append(np.asarray(x).tobytes())
             return _real(self, x)
 
-        def newton(*args, _real=sqp.newton_on_support):
-            depth[0] += 1
-            try:
-                return _real(*args)
-            finally:
-                depth[0] -= 1
-                ends.append(len(outside))
+        def iterates(*args, _real=sqp.newton_iterates):
+            run = _real(*args)
+            while True:
+                depth[0] += 1
+                try:
+                    item = next(run, run)
+                finally:
+                    depth[0] -= 1
+                    ends.append(len(outside))
+                if item is run:
+                    return
+                yield item
 
         monkeypatch.setattr(Tensor, "jacobian", jacobian)
-        monkeypatch.setattr(sqp, "newton_on_support", newton)
+        monkeypatch.setattr(sqp, "newton_iterates", iterates)
         labels = set()
         for k in range(20):
             outside.clear()
@@ -565,7 +591,7 @@ class TestCandidateSkip:
         assert multistart_sparse(problem, n_starts=starts, seed=42).success_rate == 1.0
         assert len(skipped) >= starts
         for support, x0 in skipped:
-            found = newton_on_support(problem.tensor, problem.q, support, x0)
+            found = newton_end(problem.tensor, problem.q, support, x0)
             if found is not None:
                 x, ax = found
                 check = sqp._verification(x, ax - problem.q)
@@ -594,33 +620,12 @@ class TestVerifiedStop:
     verifies; only the solve whose point the finish returns runs on, from
     there to its end, so no point is contracted or differentiated twice."""
 
-    @staticmethod
-    def record_runs(monkeypatch):
-        """Wrap `newton_iterates` as sqp calls it; each run's record holds
-        its args, the iterates it yielded, and whether it ran to its end."""
-        runs = []
-
-        def iterates(*args, _real=sqp.newton_iterates):
-            record = {"args": args, "points": [], "done": False}
-            runs.append(record)
-
-            def run():
-                for item in _real(*args):
-                    record["points"].append(item)
-                    yield item
-                record["done"] = True
-
-            return run()
-
-        monkeypatch.setattr(sqp, "newton_iterates", iterates)
-        return runs
-
     @pytest.mark.parametrize("name", GATE)
     def test_returned_point_is_the_uninterrupted_run(self, monkeypatch, name):
         # the run a finish returns went on past its stop to its end, and its
-        # point has the bits of `newton_on_support` from the same start
+        # point has the bits of an uninterrupted run from the same start
         problem = builtin(name)
-        runs = self.record_runs(monkeypatch)
+        runs = record_runs(monkeypatch)
         polished = 0
         for k in range(20):
             runs.clear()
@@ -630,7 +635,7 @@ class TestVerifiedStop:
                     and run["points"][-1][0].tobytes() == report.x.tobytes()]
             assert done
             tensor, rhs, support, x0 = done[-1]["args"]
-            x, _ = newton_on_support(tensor, rhs, support, x0)
+            x, _ = newton_end(tensor, rhs, support, x0)
             assert x.tobytes() == report.x.tobytes()
             first = next(j for j, item in enumerate(done[-1]["points"])
                          if solves_both_systems(problem, item[0], SQPConfig().eps2))
@@ -643,7 +648,7 @@ class TestVerifiedStop:
         # reported may yield an iterate after its first verified one
         problem = builtin(name)
         eps2 = SQPConfig().eps2
-        runs = self.record_runs(monkeypatch)
+        runs = record_runs(monkeypatch)
         stopped = 0
         for k in range(20):
             runs.clear()
@@ -665,26 +670,30 @@ class TestVerifiedStop:
         assert stopped > 0
 
     def test_unverified_end_keeps_the_stop(self, monkeypatch):
-        # should the run on to the end fail (here: a singular block), the
-        # finish returns the verified iterate its solve stopped at; on
-        # ex5_4's start 0 its residual is 3.6e-6
+        # should the run on to the end fail, on a singular block or at a
+        # point that does not verify, the finish returns the verified
+        # iterate its solve stopped at; on ex5_4's start 0 its residual is
+        # 3.6e-6
         problem = builtin("ex5_4")
-        stops = []
+        eps2 = SQPConfig().eps2
+        for failed_end in (lambda x: None, lambda x: (x + 1.0, problem.tensor.contract(x + 1.0))):
+            stops = []
 
-        def newton(tensor, rhs, support, run, until=None, _real=sqp.newton_on_support):
-            if until is None:
-                return None
-            found = _real(tensor, rhs, support, run, until)
-            if found is not None:
-                stops.append(found[0].tobytes())
-            return found
+            def iterates(tensor, rhs, support, x0, _real=sqp.newton_iterates,
+                         _end=failed_end, _stops=stops):
+                for item in _real(tensor, rhs, support, x0):
+                    yield item
+                    if item is not None and sqp._verified(item[0], item[1] - rhs, eps2):
+                        _stops.append(item[0].tobytes())
+                        yield _end(item[0])
+                        return
 
-        monkeypatch.setattr(sqp, "newton_on_support", newton)
-        report = sqp_solve(problem, *multistart_start(problem, 0))
-        assert report.converged and report.solved_by == "identified"
-        assert report.x.tobytes() == stops[-1]
-        assert solves_both_systems(problem, report.x, SQPConfig().eps2)
-        assert report.tcp_residual > 1e-12
+            monkeypatch.setattr(sqp, "newton_iterates", iterates)
+            report = sqp_solve(problem, *multistart_start(problem, 0))
+            assert report.converged and report.solved_by == "identified"
+            assert report.x.tobytes() == stops[-1]
+            assert solves_both_systems(problem, report.x, eps2)
+            assert report.tcp_residual > 1e-12
 
     def test_failed_ladder_costs_one_stacked_contraction(self, monkeypatch):
         # ex5_5 fits a whole ladder (50 halvings of a search, at most 33 of a
@@ -714,10 +723,11 @@ class TestVerifiedStop:
         assert sum(calls == [(sqp.MAX_BACKTRACKS, problem.dim)] for calls in failed) >= 2
 
 
-def reference_newton_on_support(tensor, rhs, support, x0, until=None):
-    """`newton_on_support` with one point contraction per halving, as a
-    plain loop, stopped at the first iterate that passes until when it is
-    given; also returns the number of halvings taken."""
+def reference_newton(tensor, rhs, support, x0, until=None):
+    """The last item of `newton_iterates` with one point contraction per
+    halving, as a plain loop, or with until its first iterate that passes
+    until (None when none does); also returns the number of halvings
+    taken."""
     x = np.zeros(tensor.dim)
     x[support] = x0[support]
     ax = tensor.contract(x)
@@ -812,36 +822,30 @@ class TestStackedLadders:
             np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(got, want))
 
     def test_newton_matches_sequential_halvings(self, monkeypatch):
-        # every Newton run of the finishes starts at `newton_iterates` and
-        # stops at its first verified iterate; a finish then runs the last
-        # run that stopped on to its end.  Both must give the plain loop's
-        # bits
-        starts, calls, halvings = {}, [], 0
-        stopped = [None]   # the args of the last run that stopped
-
-        def iterates(*args, _real=sqp.newton_iterates):
-            run = _real(*args)
-            starts[run] = args
-            return run
-
-        def newton(tensor, rhs, support, run, until=None, _real=sqp.newton_on_support):
-            found = _real(tensor, rhs, support, run, until)
-            args = starts[run] if until is not None else stopped[0]
-            if until is not None and found is not None:
-                stopped[0] = args
-            calls.append((args, until, found))
-            return found
-
-        monkeypatch.setattr(sqp, "newton_iterates", iterates)
-        monkeypatch.setattr(sqp, "newton_on_support", newton)
+        # every Newton run of the finishes is read from `newton_iterates` up
+        # to its first verified iterate, and a finish reads the last run
+        # that stopped on to its end.  The stop must have the plain loop's
+        # bits under the same test, and the end of a run read to its end
+        # those of the uninterrupted loop
+        eps2 = SQPConfig().eps2
+        runs, halvings = record_runs(monkeypatch), 0
         for problem, n_starts in ladder_problems():
-            starts.clear()
-            calls.clear()
+            runs.clear()
             multistart_sparse(problem, n_starts=n_starts, seed=42)
-            for args, until, found in calls:
-                want, taken = reference_newton_on_support(*args, until)
-                halvings += taken if until is not None else 0
-                assert self.same(found, want)
+            for run in runs:
+                points, rhs = run["points"], run["args"][1]
+
+                def until(x, ax, rhs=rhs):
+                    return sqp._verified(x, ax - rhs, eps2)
+
+                stop = next((item for item in points if item is not None and until(*item)), None)
+                want, taken = reference_newton(*run["args"], until)
+                halvings += taken
+                assert self.same(stop, want)
+                if run["done"]:
+                    assert self.same(points[-1], reference_newton(*run["args"])[0])
+                else:
+                    assert points[-1] is stop
         assert halvings > 100
 
     def test_line_search_matches_sequential_search(self, monkeypatch):
@@ -1125,3 +1129,43 @@ class TestMultistart:
                   if r.converged and r.tcp_residual <= SQPConfig().eps2)
         assert result.success_rate == pytest.approx(kkt / 5)
         assert result.success_rate > 0.0
+
+
+# ROADMAP item 2's planted list: (order, n, k, seed), all at density 0.3
+PLANTED = tuple((order, n, k, seed) for order, n, k in ((3, 12, 3), (4, 12, 3), (3, 20, 4),
+                                                        (3, 30, 5)) for seed in range(3))
+
+
+def planted_instance(order, n, k, seed, density=0.3):
+    """(problem, S) for a planted support S of size k: the tensor of
+    `generate_ks_instance(order, n, density, seed)` without the entries of
+    the rows i not in S whose tail lies wholly in S, so a root of the block
+    on S, set to 0 off S, solves the problem; q_S is uniform on [0.2, 1)
+    and q = 0 off S.  S is drawn from default_rng([seed, 7]), q_S from
+    default_rng([seed, 7, 1])."""
+    tensor = generate_ks_instance(order, n, density=density, seed=seed).tensor
+    support = np.random.default_rng([seed, 7]).choice(n, size=k, replace=False)
+    inside = np.isin(tensor._idx, support)
+    keep = inside[:, 0] | ~inside[:, 1:].all(axis=1)
+    q = np.zeros(n)
+    q[support] = np.random.default_rng([seed, 7, 1]).uniform(0.2, 1.0, k)
+    planted = Tensor.from_arrays(order, n, tensor._idx[keep], tensor._val[keep])
+    return TCPProblem(planted, q, name=f"m{order}-n{n}-s{seed}"), np.sort(support)
+
+
+class TestPlanted:
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 1: the SQP path ends at verified dense roots")
+    def test_planted_support_is_the_best(self):
+        # every instance has a solution with support S, and no sparser one
+        # (ROADMAP item 13's bound equals S on all 12); the best of 5
+        # starts at seed 42 must be one with support S
+        wrong = []
+        for order, n, k, seed in PLANTED:
+            problem, support = planted_instance(order, n, k, seed)
+            best = multistart_sparse(problem, n_starts=5, seed=42).best
+            if not (best.l0 == k and np.array_equal(np.flatnonzero(best.x > SPARSITY_TOL),
+                                                    support)):
+                wrong.append(f"{problem.name} (l0 {best.l0})")
+        assert not wrong, f"{len(wrong)} of {len(PLANTED)} wrong: {', '.join(wrong)}"

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tcpsolve import Tensor, builtin, classify, multistart_sparse, spectral_radius
-from tcpsolve.tensors import MAX_ORDER, _shifted, identity, newton_on_support
+from tcpsolve.tensors import MAX_ORDER, _shifted, identity, newton_iterates
 
 
 def dense_contract(array, x):
@@ -581,13 +581,18 @@ class TestStacks:
                 kernel(np.ones(shape))
 
 
+def newton_end(tensor, rhs, support, x0):
+    """The last item of `newton_iterates`: its root (x, A x^{m-1}), or None."""
+    *_, end = newton_iterates(tensor, rhs, support, x0)
+    return end
+
+
 class TestNewtonOnSupport:
 
     def test_identity_root_on_support(self):
         # I x^2 = (x1^2, x2^2, x3^2): on S = {0, 2} the root is sqrt(rhs_S)
         t = identity(3, 3)
-        x, ax = newton_on_support(t, np.array([4.0, 9.0, 2.0]), np.array([0, 2]),
-                                  np.ones(3))
+        x, ax = newton_end(t, np.array([4.0, 9.0, 2.0]), np.array([0, 2]), np.ones(3))
         np.testing.assert_allclose(x, [2.0, 0.0, math.sqrt(2.0)], rtol=1e-14)
         assert x[1] == 0.0
         np.testing.assert_array_equal(ax, t.contract(x))
@@ -596,7 +601,7 @@ class TestNewtonOnSupport:
         # -x^2 = 1 has no root; every Newton step heads for x <= 0, and each
         # is cut short so the iterate stays strictly positive
         t = Tensor(3, 1, {(0, 0, 0): -1.0})
-        x, ax = newton_on_support(t, np.ones(1), np.array([0]), np.ones(1))
+        x, ax = newton_end(t, np.ones(1), np.array([0]), np.ones(1))
         assert 0.0 < x[0] < 1e-3
         np.testing.assert_array_equal(ax, t.contract(x))
 
@@ -606,22 +611,21 @@ class TestNewtonOnSupport:
         # overflow; the step is cut by x_3 alone, as without the a term
         a = -2.2250738585e-313
         t = Tensor(2, 3, {(0, 0): 1.0, (0, 2): a, (1, 1): 1.0, (2, 2): 1.0})
-        x, ax = newton_on_support(t, np.array([1.0, 1.0, 0.0]),
-                                  np.array([0, 1, 2]), np.ones(3))
+        x, ax = newton_end(t, np.array([1.0, 1.0, 0.0]), np.array([0, 1, 2]), np.ones(3))
         assert np.all(x > 0.0)
         np.testing.assert_allclose(x[:2], [1.0, 1.0], rtol=1e-14)
         np.testing.assert_array_equal(ax, t.contract(x))
 
     def test_empty_support_gives_zero(self):
-        x, ax = newton_on_support(identity(3, 2), np.ones(2),
-                                  np.array([], dtype=np.intp), np.ones(2))
+        x, ax = newton_end(identity(3, 2), np.ones(2), np.array([], dtype=np.intp),
+                           np.ones(2))
         np.testing.assert_array_equal(x, np.zeros(2))
         np.testing.assert_array_equal(ax, np.zeros(2))
 
     def test_singular_block_gives_none(self):
         # row 2 of the map is identically zero, so its Jacobian row is too
         t = Tensor(3, 2, {(0, 0, 0): 1.0})
-        assert newton_on_support(t, np.ones(2), np.array([0, 1]), np.ones(2)) is None
+        assert newton_end(t, np.ones(2), np.array([0, 1]), np.ones(2)) is None
 
 
 class TestSpectralRadius:
