@@ -1,4 +1,4 @@
-"""Equality/bound constrained QP subproblems via a smoothing Newton method.
+"""Equality/bound constrained QP subproblems: direct solves, then smoothing Newton.
 
 The subproblem solved at every outer SQP iterate is
 
@@ -33,7 +33,9 @@ pushes it to its bound, so the guess W = {absent rows} of active bounds
 whose point is a KKT point when g_F + d_F >= 0 and lam_W >= 0; with no
 absent row it is d_N.  One direct solve for d and one for mu replace the
 Newton iteration whenever that point passes the iteration's own stop
-test.
+test.  With no absent row and g + d_N outside the orthant the QP has no
+feasible point, and a least-squares restoration step on the guessed active
+set (Fletcher & Leyffer, Math. Program. 91, 2002) is the answer.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = ["QP", "QPResult", "chks", "kkt_residual", "kkt_jacobian",
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
 SINGULAR = "singular_jacobian"
+INFEASIBLE = "infeasible"
 
 # Line-search smoothing Newton parameters.  SIGMA is the sufficient-decrease
 # fraction of the norm reduction test; it must be small (classic choice
@@ -220,18 +223,20 @@ def perturbation(h_norm, gamma):
 
 
 def _direct_point(qp):
-    """z = (0, d, mu, lam) that solves the KKT system exactly with the
-    bounds of the absent rows W active, or None.
+    """(d, z) from one solve with the bounds of the absent rows W active,
+    or (None, None).
 
     d_W = -g_W puts those coordinates on their bounds, and
     Aeq[F,F] d_F = -h_F - Aeq[F,W] d_W meets the present rows F.  Then
     Aeq[F,F]' mu_F = (B d + c)_F, mu_W = -h_W pins the absent rows as
-    `kkt_residual` does, and lam = B d + c - Aeq' mu is 0 on F.  With no
-    absent row this is the Newton point: Aeq square and nonsingular makes d
-    the only feasible step, and g + d >= 0 makes z a KKT point with lam = 0.
-    None when a solve is singular, d is not finite, g + d leaves the
-    orthant, or some lam_W is negative (or not a number): that bound would
-    not stay active.
+    `kkt_residual` does, lam = B d + c - Aeq' mu is 0 on F, and
+    z = (0, d, mu, lam) solves the KKT system exactly.  With no absent row
+    d is d_N, the only feasible step.  If g + d_N leaves the orthant, z is
+    None and d is the restoration step: d_V = -g_V on the coordinates V
+    that d_N sends below their bounds, and the normal equations fit the
+    rows on the others.  (None, None) when a solve is singular, d is not
+    finite, or, with absent rows, g + d leaves the orthant or some lam_W is
+    negative (or not a number): that bound would not stay active.
     """
     w = qp.absent
     f = ~w
@@ -240,17 +245,23 @@ def _direct_point(qp):
     d = -qp.g
     try:
         d[f] = np.linalg.solve(square, -qp.h[f] - present[:, w] @ d[w])
-        if not (np.isfinite(d).all() and (qp.g + d >= 0.0).all()):
-            return None
+        out = qp.g + d < 0.0
+        if not np.isfinite(d).all() or (out.any() and w.any()):
+            return None, None
+        if out.any():
+            d = np.where(out, -qp.g, 0.0)
+            cols = qp.Aeq[:, ~out]
+            d[~out] = np.linalg.solve(cols.T @ cols, cols.T @ (-qp.h - qp.Aeq[:, out] @ d[out]))
+            return d, None
         grad = qp.B @ d + qp.c
         mu = -qp.h
         mu[f] = np.linalg.solve(square.T, grad[f])
     except np.linalg.LinAlgError:
-        return None
+        return None, None
     lam = np.where(w, grad - mu @ qp.Aeq, 0.0)
     if not (lam >= 0.0).all():
-        return None
-    return np.concatenate([[0.0], d, mu, lam])
+        return None, None
+    return d, np.concatenate([[0.0], d, mu, lam])
 
 
 def solve_qp(qp, mu0=0.0, lam0=1.0):
@@ -264,8 +275,11 @@ def solve_qp(qp, mu0=0.0, lam0=1.0):
     equilibrated QP has one, is tried first: the point with the bounds of
     the absent rows active, which is the Newton point d_N with lam = 0 when
     no row is absent.  If its residual meets the same stop test it is returned
-    as converged with 0 iterations; otherwise the Newton iteration runs
-    from z0 as if it had not been tried.
+    as converged with 0 iterations.  When no row is absent and g + d_N
+    leaves the orthant, the least-squares step of `_direct_point` is
+    returned as `infeasible` with 0 iterations, mu = lam = 0 and the norm
+    of the equilibrated rows' residual.  Otherwise the Newton iteration
+    runs from z0 as if neither had been tried.
 
     Equality rows are equilibrated to unit max-norm before iterating: the
     SQP outer loop hands in constraint gradients that collapse like
@@ -301,10 +315,14 @@ def solve_qp(qp, mu0=0.0, lam0=1.0):
     # a pivot that is tiny but not zero can give a direct point whose
     # multipliers or residual overflow; inf or NaN fails the stop test
     with np.errstate(over="ignore", invalid="ignore"):
-        direct = _direct_point(inner)
+        d, direct = _direct_point(inner)
         if direct is not None:
             d_val = kkt_residual(inner, direct)
             d_norm = math.sqrt(d_val @ d_val)
+        elif d is not None:
+            miss = inner.h + inner.Aeq @ d
+            return QPResult(d=d, mu=np.zeros(n), lam=np.zeros(n), status=INFEASIBLE,
+                            iterations=0, residual=math.sqrt(miss @ miss))
     if direct is not None and d_norm <= stop:
         _eps, d, mu, lam = _split(direct, n)
         return QPResult(d=d, mu=mu / scale, lam=lam, status=CONVERGED,

@@ -5,10 +5,11 @@ The sparsest-solution problem is relaxed to
     min  e'x   s.t.  A x^(m-1) - q = 0,  x >= 0,
 
 and solved by sequential quadratic programming: each iteration linearizes
-the equality constraint, solves the quadratic subproblem with the smoothing
-Newton method from `qp`, and globalizes with one Armijo backtracking line
-search on the l1 exact penalty merit, which judges every QP step; the
-search scores its halvings in stacked contractions (`first_passing`).
+the equality constraint, solves the quadratic subproblem with `solve_qp`
+(directly, by least squares when it is infeasible, or by smoothing Newton),
+and globalizes with one Armijo backtracking line search on the l1 exact
+penalty merit, which judges every QP step and takes only a strict decrease;
+the search scores its halvings in stacked contractions (`first_passing`).
 Lagrangian curvature is tracked by damped BFGS updates, so only constraint
 values and Jacobians of the tensor map are needed, each evaluated once per
 accepted point.  After every accepted step, a Newton solve on the support
@@ -50,8 +51,8 @@ LINESEARCH_FAIL = "linesearch_fail"
 
 # DELTA is the safety margin of the penalty update and SIGMA0 the initial
 # penalty weight (the merit function uses 1/sigma).  Steps are backtracked
-# by RHO until the Armijo condition with slope fraction ETA holds, the slope
-# capped at -1e-12 so that a flat one still demands a decrease; after
+# by RHO until the Armijo condition with slope fraction ETA (the slope capped
+# at -1e-12) holds and the merit falls strictly in floating point; after
 # MAX_BACKTRACKS halvings without one the run ends as `linesearch_fail`.
 # HALVINGS holds their step lengths RHO^j, exact powers of two as in a loop.
 ETA = 0.1
@@ -315,23 +316,21 @@ def _support_solution(problem, x, eps2):
 
 def _line_search(problem, x, d, h, infeas, sigma):
     """(alpha, x + alpha*d, its h, its merit) for the first alpha = RHO^j,
-    j <= MAX_BACKTRACKS, whose point moves x and meets the Armijo condition,
-    or None; h and infeas belong to x.  A flat or uphill slope estimate
-    (roundoff at stationarity, or multipliers blown up by degenerate rows)
-    still demands a plain decrease.  The full step is tried as a point and
-    the halvings by `first_passing`.
+    j <= MAX_BACKTRACKS, whose point meets the Armijo condition with a merit
+    strictly below that of x, or None; h and infeas belong to x.  A flat or
+    uphill slope estimate (roundoff at stationarity, or multipliers blown up
+    by degenerate rows) still demands a plain decrease.  The full step is
+    tried as a point and the halvings by `first_passing`.
     """
     slope = min(float(np.sum(d)) - infeas / sigma, -1e-12)
     phi0 = merit(x, h, sigma)
-    x_new = x + d
-    # a step lost to rounding would pass without moving x
-    if not np.array_equal(x_new, x):
-        h_new = constraint_value(problem, x_new)
-        phi_new = merit(x_new, h_new, sigma)
-        if phi_new <= phi0 + ETA * slope:
-            return 1.0, x_new, h_new, phi_new
-    passed = first_passing(problem.tensor, x, d, HALVINGS, lambda steps, points, values: _merits(
-        points, values - problem.q, sigma) <= phi0 + ETA * steps * slope)
+
+    def passes(steps, points, values):
+        merits = _merits(points, values - problem.q, sigma)
+        return (merits <= phi0 + ETA * steps * slope) & (merits < phi0)
+
+    passed = (first_passing(problem.tensor, x, d, np.ones(1), passes)
+              or first_passing(problem.tensor, x, d, HALVINGS, passes))
     if passed is None:
         return None
     alpha, x_new, ax_new = passed
@@ -376,8 +375,9 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
         d = qp_res.d
         if not qp_res.converged:
             # far from a solution the linearized subproblem can be infeasible
-            # (square Aeq forces d, which may violate the bounds); the inexact
-            # direction is still useful when the merit line search accepts it
+            # (square Aeq forces d, which may violate the bounds); its least-
+            # squares step, like a loop answer that missed its stop test, is
+            # still useful when the merit line search takes it
             inexact_qps += 1
             if inexact_qps == 1:
                 notes.append(f"iteration {k}: QP subproblem inexact (status "
@@ -389,7 +389,7 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
             break
 
         # the 1-norm bounds the max-norm; a step that is not finite or longer
-        # than 1e10 is searched as the zero step, which the guard below rejects
+        # than 1e10 is searched as the zero step, which the line search rejects
         if not (step_norm <= 1e10 or np.all(np.abs(d) <= 1e10)):
             d = np.zeros(n)
         sigma = update_penalty(sigma, mu, lam, DELTA)

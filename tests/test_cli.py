@@ -220,16 +220,17 @@ class TestSolveOutput:
         assert first[1] == "kkt"
 
     def test_csv_shows_solved_by_of_every_start(self, capsys):
-        # ex5_2 at seed 42: starts 1 and 5 are completed by the support solve
-        code, out, err = run(capsys, "solve", "--builtin", "ex5_2", "--format", "csv")
+        # ex5_3 at seed 42: ten starts are completed by the support solve
+        code, out, err = run(capsys, "solve", "--builtin", "ex5_3", "--format", "csv")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
-        result = multistart_sparse(builtin("ex5_2"), n_starts=20, seed=42)
+        result = multistart_sparse(builtin("ex5_3"), n_starts=20, seed=42)
         assert [row["solved_by"] for row in rows] == [r.solved_by for r in result.reports]
-        assert [int(row["start"]) for row in rows if row["solved_by"] == "support"] == [1, 5]
+        assert [int(row["start"]) for row in rows if row["solved_by"] == "support"] == [
+            0, 1, 3, 5, 6, 10, 11, 14, 18, 19]
 
     @pytest.mark.parametrize("name, starts, loop_count, support_count", [
-        ("ex5_1", 20, 20, 0), ("ex5_2", 20, 18, 2), ("ex5_3", 20, 11, 9),
+        ("ex5_1", 20, 20, 0), ("ex5_2", 20, 20, 0), ("ex5_3", 20, 10, 10),
         ("ex5_4", 50, 31, 19), ("ex5_5", 20, 15, 5), ("ex3_1", 20, 17, 3)])
     def test_json_counts_solved_by_over_all_starts(self, capsys, name, starts,
                                                    loop_count, support_count):

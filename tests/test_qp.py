@@ -155,13 +155,42 @@ def reference_direct_point(qp):
     return np.concatenate([[0.0], d, mu, lam])
 
 
+def reference_least_squares_step(qp):
+    """(d, ||h + Aeq d||) for a QP with no absent row whose Newton point
+    d_N = Aeq^-1 (-h) is finite and leaves the orthant, else None.
+
+    The bounds W that d_N crosses are held active, d_W = -g_W, and the rows
+    are fitted in least squares over the other coordinates F through the
+    normal equations of Aeq[:, F] d_F = -h - Aeq[:, W] d_W."""
+    if qp.absent.any():
+        return None
+    try:
+        d_n = np.linalg.solve(qp.Aeq, -qp.h)
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(d_n)) or np.all(qp.g + d_n >= 0.0):
+        return None
+    bound, free = np.flatnonzero(qp.g + d_n < 0.0), np.flatnonzero(qp.g + d_n >= 0.0)
+    d = np.zeros(qp.n)
+    d[bound] = -qp.g[bound]
+    cols = qp.Aeq[:, free]
+    rhs = -qp.h - qp.Aeq[:, bound] @ d[bound]
+    try:
+        d[free] = np.linalg.solve(cols.T @ cols, cols.T @ rhs)
+    except np.linalg.LinAlgError:
+        return None
+    return d, float(np.linalg.norm(qp.h + qp.Aeq @ d))
+
+
 def reference_solve_qp(qp, mu0=0.0, lam0=1.0, direct=True):
     """The smoothing Newton loop one step at a time from (EPS0, 0, mu0, lam0):
     a fresh dense H'(z), np.linalg.solve, np.linalg.norm, and the batched
     backtracking.  With `direct`, the inner QP first tries
     `reference_direct_point`, taken when its residual meets the loop's stop
-    test, which a point or residual that overflows fails.  `solve_qp` must
-    return the same bits."""
+    test, which a point or residual that overflows fails; then, with no
+    absent row, `reference_least_squares_step`, returned as "infeasible"
+    with 0 iterations and no multipliers.  `solve_qp` must return the same
+    bits."""
     n = qp.n
     row_norm = np.max(np.abs(qp.Aeq), axis=1)
     vacuous = (row_norm <= DROP_TOL) & (np.abs(qp.h) <= DROP_TOL)
@@ -185,6 +214,10 @@ def reference_solve_qp(qp, mu0=0.0, lam0=1.0, direct=True):
     if z_direct is not None and norm <= stop:
         d, mu, lam = z_direct[1:n + 1], z_direct[n + 1:2 * n + 1], z_direct[2 * n + 1:]
         return d, mu / scale, lam, "converged", 0, norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = reference_least_squares_step(inner) if direct and z_direct is None else None
+    if fitted is not None:
+        return fitted[0], np.zeros(n), np.zeros(n), "infeasible", 0, fitted[1]
     gamma = min(GAMMA, 0.9 / max(EPS0, h_norm, 1e-16))
     status = "max_iter"
     iterations = 0
@@ -487,13 +520,14 @@ class TestSolveQP:
         np.testing.assert_allclose(res.d[1], -0.5, atol=1e-8)
 
     def test_infeasible_subproblem_reports_failure(self):
-        # equalities force d = (1, 1) but the bound demands d >= (0, -0.2):
-        # consistent; instead use h making d = -2 against g = 0
+        # the equality forces d = -2 against the bound d >= 0: the bound is
+        # held active, and the row is left with its whole residual
         qp = QP(B=np.eye(1), c=np.zeros(1), Aeq=np.array([[1.0]]),
                 h=np.array([2.0]), g=np.array([0.0]))
         res = solve_qp(qp)
         assert not res.converged
-        assert res.status in ("max_iter", "singular_jacobian")
+        assert (res.status, res.iterations, res.residual) == ("infeasible", 0, 2.0)
+        assert res.d == 0.0
 
     def test_random_qps_match_reference_bits(self):
         rng = np.random.default_rng(39)
@@ -520,12 +554,15 @@ class TestSolveQP:
         # a guess of active bounds on the absent rows whose lam_W < 0, and
         # one whose g_F + d_F < 0.  A pivot of 1e-157 gives a finite d that
         # sends mu to inf, so the point's residual fails the stop test.  All
-        # run the smoothing Newton loop as before, with no RuntimeWarning
+        # but the d_N outside the orthant run the smoothing Newton loop as
+        # before, with no RuntimeWarning; that one, with no absent row, gets
+        # the least-squares step at once
         tried = []
 
         def direct_point(qp, _real=qp_module._direct_point):
-            tried.append(_real(qp))
-            return tried[-1]
+            d, z = _real(qp)
+            tried.append(z)
+            return d, z
 
         monkeypatch.setattr(qp_module, "_direct_point", direct_point)
         rng = np.random.default_rng(41)
@@ -549,8 +586,12 @@ class TestSolveQP:
         # d = (5e156, -1), so grad_0 = 5e156 and mu_1 = grad_0 / 1e-157
         tiny_pivot = QP(B=np.eye(2), c=np.ones(2), Aeq=np.array([[0.0, 1.0], [1e-157, 1.0]]),
                         h=np.array([1.0, 0.5]), g=np.ones(2))
-        for qp in (near_singular, outside, lam_negative, free_outside, tiny_pivot):
-            assert assert_same_bits(qp).iterations > 0
+        results = [assert_same_bits(qp) for qp in
+                   (near_singular, outside, lam_negative, free_outside, tiny_pivot)]
+        assert [res.iterations > 0 for res in results] == [True, False, True, True, True]
+        # d_0 = -1 crosses its bound, so d_0 = -0.5 and d_1 fits both rows
+        assert results[1].status == "infeasible"
+        np.testing.assert_allclose(results[1].d, [-0.5, 0.22], rtol=1e-15)
         assert tried[0] is not None and tried[1:4] == [None, None, None]
         assert not np.all(np.isfinite(tried[4]))
         np.testing.assert_allclose(solve_qp(lam_negative).d, [1.0, 1.0], atol=1e-8)
@@ -570,11 +611,12 @@ class TestSolveQP:
                 answered += 1
         assert answered > 20
 
-    @pytest.mark.parametrize("name, starts", [("ex5_1", range(6)), ("ex5_4", range(16))])
+    @pytest.mark.parametrize("name, starts", [("ex5_1", range(6)), ("ex5_4", range(17))])
     def test_sqp_subproblems_match_reference_bits(self, monkeypatch, name, starts):
         # the subproblems SQP hands in: warm starts, vanishing rows, and
-        # infeasible linearizations that stop inexact, each solved once as
-        # is and once with the direct point switched off.  Runs that end on
+        # infeasible linearizations that get the least-squares step, each
+        # solved once as is and once with the direct point and that step
+        # switched off.  Runs that end on
         # an identified support hand in few QPs, so each case records the
         # fewest first starts that give more than 20 QPs and more than 20
         # compared direct answers.  Every point of every
@@ -585,11 +627,12 @@ class TestSolveQP:
         # because it is taken in closed form.
         # Where the direct point answers, it keeps g + d >= 0 and lam >= 0
         # exactly.  With no absent row its d is the only feasible step, so
-        # it is the d the smoothing Newton loop reaches.  With absent rows
-        # it is that d whenever the loop converges to a d with g + d >= 0:
-        # on ex5_4 the loop also converges by breaking a bound by up to
-        # 1.1e-10, which a ~1e-7 entry of J turns into a d that differs in
-        # its first digit
+        # it is the d the smoothing Newton loop reaches when the loop
+        # converges, which it need not do even on a feasible QP.  With
+        # absent rows it is that d whenever the loop converges to
+        # a d with g + d >= 0: on ex5_4 the loop also converges by breaking
+        # a bound by up to 1.1e-10, which a ~1e-7 entry of J turns into a d
+        # that differs in its first digit
         recorded = []
         kinks, filled, points, directs, absent = [], [], [], set(), []
 
@@ -608,11 +651,11 @@ class TestSolveQP:
             return _real(qp, z)
 
         def direct_point(qp, _real=qp_module._direct_point):
-            z = _real(qp)
+            d, z = _real(qp)
             absent.append(qp._any_absent)
             if z is not None:
                 directs.add(z.tobytes())
-            return z
+            return d, z
 
         monkeypatch.setattr(sqp, "solve_qp", record)
         monkeypatch.setattr(qp_module, "_fill_jacobian", fill)
@@ -625,21 +668,31 @@ class TestSolveQP:
         absent.clear()
         results = [assert_same_bits(*args) for args in recorded]
         assert len(absent) == len(recorded)
-        monkeypatch.setattr(qp_module, "_direct_point", lambda qp: None)
+        monkeypatch.setattr(qp_module, "_direct_point", lambda qp: (None, None))
         loops = [assert_same_bits(*args, direct=False) for args in recorded]
         assert len(recorded) > 20
-        direct = [(args[0], res, loop, any_absent) for args, res, loop, any_absent
-                  in zip(recorded, results, loops, absent) if res.iterations == 0]
-        assert direct and all(res.converged for _sub, res, _loop, _absent in direct)
+        cases = list(zip(recorded, results, loops, absent))
+        direct = [(args[0], res, loop, any_absent) for args, res, loop, any_absent in cases
+                  if res.converged and res.iterations == 0]
+        assert direct
         compared = 0
         for sub, res, loop, any_absent in direct:
             assert np.all(sub.g + res.d >= 0.0) and np.all(res.lam >= 0.0)
-            if not any_absent or (loop.converged and np.all(sub.g + loop.d >= 0.0)):
+            if loop.converged and (not any_absent or np.all(sub.g + loop.d >= 0.0)):
                 assert np.max(np.abs(res.d - loop.d)) <= 1e-8 * np.max(np.abs(loop.d))
                 compared += 1
         assert compared > 20
+        # a least-squares step answers a QP with no feasible point, so the
+        # loop reaches no KKT point of it inside the orthant either; the
+        # bounds it holds active are met exactly
+        fitted = [(args[0], res, loop) for args, res, loop, _absent in cases
+                  if res.status == "infeasible"]
+        assert all(res.iterations == 0 for _sub, res, _loop in fitted)
+        for sub, res, loop in fitted:
+            assert np.any(sub.g + res.d == 0.0)
+            assert not (loop.converged and np.all(sub.g + loop.d >= 0.0))
         if name == "ex5_4":
-            assert {res.status for res in results} == {"converged", "max_iter"}
+            assert {res.status for res in results} == {"converged", "infeasible", "max_iter"}
         assert min(loop.iterations for loop in loops) > 0
         assert len(kinks) > len(recorded) and set(kinks) == {0}
         assert min(filled) > 0.0

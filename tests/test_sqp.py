@@ -645,12 +645,13 @@ class TestVerifiedStop:
     @pytest.mark.parametrize("name", GATE)
     def test_no_solve_runs_past_its_first_verified_iterate(self, monkeypatch, name):
         # of the Newton runs of one SQP run, only the one whose point is
-        # reported may yield an iterate after its first verified one
+        # reported may yield an iterate after its first verified one.  On
+        # ex5_2 the first start that leaves a run at its stop is start 30
         problem = builtin(name)
         eps2 = SQPConfig().eps2
         runs = record_runs(monkeypatch)
         stopped = 0
-        for k in range(20):
+        for k in range(40 if name == "ex5_2" else 20):
             runs.clear()
             report = sqp_solve(problem, *multistart_start(problem, k))
             past = []
@@ -771,7 +772,8 @@ def reference_newton(tensor, rhs, support, x0, until=None):
 
 def reference_line_search(problem, x, d, h, infeas, sigma):
     """`sqp._line_search` with one point contraction per step length, as a
-    plain loop; also returns the number of backtracks taken."""
+    plain loop; also returns the number of backtracks taken.  A step is
+    taken only when its merit is strictly below that of x."""
     slope = min(float(np.sum(d)) - infeas / sigma, -1e-12)
     phi0 = merit(x, h, sigma)
     alpha = 1.0
@@ -780,7 +782,7 @@ def reference_line_search(problem, x, d, h, infeas, sigma):
         if not np.array_equal(x_new, x):
             h_new = constraint_value(problem, x_new)
             phi_new = merit(x_new, h_new, sigma)
-            if phi_new <= phi0 + sqp.ETA * alpha * slope:
+            if phi_new <= phi0 + sqp.ETA * alpha * slope and phi_new < phi0:
                 return (alpha, x_new, h_new, phi_new), j
         alpha *= sqp.RHO
     return None, sqp.MAX_BACKTRACKS + 1
@@ -1155,8 +1157,6 @@ def planted_instance(order, n, k, seed, density=0.3):
 
 class TestPlanted:
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 1: the SQP path ends at verified dense roots")
     def test_planted_support_is_the_best(self):
         # every instance has a solution with support S, and no sparser one
         # (ROADMAP item 13's bound equals S on all 12); the best of 5
@@ -1169,3 +1169,14 @@ class TestPlanted:
                                                     support)):
                 wrong.append(f"{problem.name} (l0 {best.l0})")
         assert not wrong, f"{len(wrong)} of {len(PLANTED)} wrong: {', '.join(wrong)}"
+
+    def test_ladder_rung_finds_the_planted_support(self):
+        # the n = 100 rung of the planted ladder (order 3, k = 8, density
+        # 0.01): the least-squares answer to each infeasible QP keeps the
+        # SQP path off the dense root, and the strict merit decrease keeps
+        # a start from crawling on steps that round away
+        problem, support = planted_instance(3, 100, 8, 0, density=0.01)
+        result = multistart_sparse(problem, n_starts=2, seed=42)
+        assert result.best.l0 == 8
+        assert np.array_equal(np.flatnonzero(result.best.x > SPARSITY_TOL), support)
+        assert max(report.iterations for report in result.reports) <= 20
