@@ -16,12 +16,18 @@ Classes checked, for a tensor A of order m and dimension n:
                   x_i (A x^{m-1})_i > 0
   KS-tensor       P-tensor whose comparison part W (diagonal plus nonpositive
                   off-diagonal entries) is a nonsingular M-tensor
+
+The exact results that several checks share, the Z entry scan and the
+M-checks of A and of its comparison part W, are computed once per tensor and
+kept on it (`_kept`).  The sampled checks, the P-check's probes and
+`z_function_check`, run again on every call.
 """
 
 from __future__ import annotations
 
+import copy
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,6 +81,17 @@ class KSDecomposition:
     N: Tensor
 
 
+def _kept(tensor, compute):
+    """The certificate compute(tensor), computed once and kept on the tensor
+    as its cached properties are.  Each call gets its own copy of the
+    witness and the evidence, so no caller can change what another reads."""
+    memo = vars(tensor).setdefault("_certificates", {})
+    if compute not in memo:
+        memo[compute] = compute(tensor)
+    cert = memo[compute]
+    return replace(cert, witness=copy.copy(cert.witness), evidence=dict(cert.evidence))
+
+
 # ---------------------------------------------------------------------------
 # entry-level checks
 
@@ -82,17 +99,23 @@ def is_nonnegative(tensor):
     if tensor.min_value() >= 0:
         return Certificate(Verdict.CERTIFIED_TRUE, "entry_scan",
                            detail=f"all {tensor.nnz} stored entries >= 0")
-    # argmin picks the first smallest entry in sorted order
-    idx, v = tensor.items()[np.argmin(tensor._val)]
+    # argmin picks the first smallest entry in sorted order; the witness is
+    # that row of items(), without building items()
+    row = np.argmin(tensor._val)
+    idx, v = tuple(tensor._idx[row].tolist()), float(tensor._val[row])
     return Certificate(Verdict.CERTIFIED_FALSE, "entry_scan", witness=idx,
                        detail=f"entry {idx} = {v}")
 
 
 def is_z_tensor(tensor):
-    """Z-tensor: off-diagonal entries all <= 0."""
+    """Z-tensor: off-diagonal entries all <= 0.  Scanned once per tensor."""
+    return _kept(tensor, _z_scan)
+
+
+def _z_scan(tensor):
     positive = np.flatnonzero(tensor.off_diagonal() & (tensor._val > 0))
     if positive.size:
-        idx, v = tensor.items()[positive[0]]
+        idx, v = tuple(tensor._idx[positive[0]].tolist()), float(tensor._val[positive[0]])
         return Certificate(Verdict.CERTIFIED_FALSE, "entry_scan", witness=idx,
                            detail=f"off-diagonal entry {idx} = {v} > 0")
     return Certificate(Verdict.CERTIFIED_TRUE, "entry_scan",
@@ -155,11 +178,12 @@ def is_nonsingular_m_tensor(tensor):
     if z.negative:
         return Certificate(Verdict.CERTIFIED_FALSE, "entry_scan", witness=z.witness,
                            detail="not a Z-tensor: " + z.detail)
-    return _m_check(tensor)
+    return _kept(tensor, _m_check)
 
 
 def _m_check(tensor):
-    """`is_nonsingular_m_tensor` of a tensor already known to be a Z-tensor."""
+    """`is_nonsingular_m_tensor` of a tensor already known to be a Z-tensor.
+    Callers go through `_kept`, so that it runs once per tensor."""
     diag = tensor.diagonal()
     if np.min(diag) <= 0:
         i = int(np.argmin(diag))
@@ -245,13 +269,9 @@ def _p_sample(tensor, num_samples, seed):
     return None
 
 
-def _z_m_check(tensor):
-    """M-check of A when A is a Z-tensor, else None."""
-    return _m_check(tensor) if is_z_tensor(tensor).positive else None
-
-
-def _p_certificate(tensor, m_cert, num_samples, seed):
-    """P-check of A, given m_cert = _z_m_check(A)."""
+def _p_certificate(tensor, num_samples, seed):
+    """`is_p_tensor` after its argument check."""
+    m_cert = _kept(tensor, _m_check) if is_z_tensor(tensor).positive else None
     m_verdict = m_cert.verdict if m_cert is not None else None
     if m_verdict is Verdict.CERTIFIED_TRUE:
         return Certificate(Verdict.CERTIFIED_TRUE, "z_m_equivalence",
@@ -273,7 +293,13 @@ def is_p_tensor(tensor, num_samples=1000, seed=42):
     """P-tensor check: certified via the M-equivalence for Z-tensors,
     sampled (supported/refuted) otherwise."""
     _check_samples(num_samples)
-    return _p_certificate(tensor, _z_m_check(tensor), num_samples, seed)
+    return _p_certificate(tensor, num_samples, seed)
+
+
+def _w_check(tensor):
+    """M-check of the comparison part W of A.  W is a Z-tensor by
+    construction, and W = A exactly when A is one: then A's is W's."""
+    return _kept(tensor if is_z_tensor(tensor).positive else ks_split(tensor).W, _m_check)
 
 
 _RANK = {Verdict.CERTIFIED_TRUE: 3, Verdict.SUPPORTED: 2, Verdict.UNKNOWN: 1}
@@ -285,11 +311,8 @@ def is_ks_tensor(tensor, num_samples=1000, seed=42):
     The verdict is the weaker of the two; any negative branch refutes.
     """
     _check_samples(num_samples)
-    m_cert = _z_m_check(tensor)
-    p_cert = _p_certificate(tensor, m_cert, num_samples, seed)
-    # W is a Z-tensor by construction, and W = A exactly when A is one; then
-    # A's M-check is W's
-    w_cert = m_cert if m_cert is not None else _m_check(ks_split(tensor).W)
+    p_cert = _p_certificate(tensor, num_samples, seed)
+    w_cert = _kept(tensor, _w_check)
     if p_cert.negative:
         return Certificate(Verdict.REFUTED, "p_check", witness=p_cert.witness,
                            evidence=p_cert.evidence,

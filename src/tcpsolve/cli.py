@@ -5,7 +5,8 @@ or builtin, `classify` reports structure verdicts for a tensor, `bench`
 reruns the five builtin benchmark problems and writes CSV plus a markdown
 summary, and `gen` writes a random certified KS instance in tcp v1 format.
 
-Exit codes: 0 success, 1 solver/generator failure, 2 usage or parse error.
+Exit codes: 0 success, 1 solver/generator failure, 2 usage, parse or
+out-of-memory input error.
 Table mode displays solutions at 4 decimal places; the canonical numbers
 (best solution block, residuals) are printed at full precision and agree
 with the JSON output exactly.  CSV always carries full precision.
@@ -206,19 +207,24 @@ def cmd_classify(args):
         return 2
     if isinstance(tensor, problems.TCPProblem):
         tensor = tensor.tensor
-    results = {
-        "nonnegative": classify.is_nonnegative(tensor),
-        "z_tensor": classify.is_z_tensor(tensor),
-        "nonsingular_m": classify.is_nonsingular_m_tensor(tensor),
-        "p_tensor": classify.is_p_tensor(tensor, num_samples=args.samples,
-                                         seed=args.seed),
-        "ks_tensor": classify.is_ks_tensor(tensor, num_samples=args.samples,
-                                           seed=args.seed),
-        "condition2": classify.satisfies_condition2(tensor),
-        "z_function": classify.z_function_check(tensor, num_samples=args.samples,
-                                                seed=args.seed),
-    }
     name = args.builtin or args.tensor
+    try:
+        results = {
+            "nonnegative": classify.is_nonnegative(tensor),
+            "z_tensor": classify.is_z_tensor(tensor),
+            "nonsingular_m": classify.is_nonsingular_m_tensor(tensor),
+            "p_tensor": classify.is_p_tensor(tensor, num_samples=args.samples,
+                                             seed=args.seed),
+            "ks_tensor": classify.is_ks_tensor(tensor, num_samples=args.samples,
+                                               seed=args.seed),
+            "condition2": classify.satisfies_condition2(tensor),
+            "z_function": classify.z_function_check(tensor, num_samples=args.samples,
+                                                    seed=args.seed),
+        }
+    except MemoryError as exc:
+        # the header admits dimensions whose dense vectors cannot be allocated
+        _error(f"cannot classify {name}: {exc}")
+        return 2
     if args.format == "json":
         payload = {
             "tensor": name,

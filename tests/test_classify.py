@@ -204,6 +204,38 @@ def certificate_key(cert):
     return cert.verdict, cert.method, plain(cert.witness), cert.detail, plain(cert.evidence)
 
 
+def fresh(tensor):
+    """An equal tensor that has kept nothing yet."""
+    return Tensor.from_arrays(tensor.order, tensor.dim, tensor._idx, tensor._val)
+
+
+# every builtin, a generated Z-tensor and a mixed-sign one, each fresh
+KEPT_CASES = ([fresh(builtin_tensor(name)) for name in BUILTIN_NAMES]
+              + [fresh(generate_ks_instance(4, 5, density=0.3, seed=7).tensor),
+                 random_mixed_tensor(np.random.default_rng(3), quarters=False)])
+
+
+def assert_scans_match_items(tensor):
+    """`is_nonnegative` and `is_z_tensor` refute with the (witness, detail)
+    of a loop over items() in sorted order, the first smallest entry when
+    it is negative and the first positive off-diagonal entry, and run on an
+    equal fresh tensor without building items()."""
+    items = tensor.items()
+    worst = min(items, key=lambda e: e[1], default=None)
+    negative = (worst[0], f"entry {worst[0]} = {worst[1]}") if worst and worst[1] < 0 else None
+    positive = next(((idx, f"off-diagonal entry {idx} = {v} > 0") for idx, v in items
+                     if v > 0 and any(i != idx[0] for i in idx[1:])), None)
+
+    def refuse(*_):
+        raise AssertionError("items() built")
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(Tensor, "items", refuse)
+        monkeypatch.setattr(Tensor, "_items", property(refuse))
+        certs = is_nonnegative(fresh(tensor)), is_z_tensor(fresh(tensor))
+    assert [(c.witness, c.detail) if c.negative else None for c in certs] == [negative, positive]
+
+
 @st.composite
 def permuted_entry_lists(draw):
     """(order, dim, entry list, the same list permuted)."""
@@ -263,7 +295,8 @@ class TestEntryScans:
     def test_array_scans_match_loops(self):
         """The mask scans pick the witness, detail and split of a loop over
         items() in sorted order: the first smallest negative entry, the
-        first positive off-diagonal entry, and W = diagonal or negative."""
+        first positive off-diagonal entry, and W = diagonal or negative.
+        The entry scans name their witness without building items()."""
         def off(idx):
             return any(i != idx[0] for i in idx[1:])
 
@@ -271,22 +304,18 @@ class TestEntryScans:
         tensors += [random_mixed_tensor(np.random.default_rng(s), quarters=s % 2)
                     for s in range(200)]
         for t in tensors:
-            negative = [(idx, v) for idx, v in t.items() if v < 0]
-            worst = min(negative, key=lambda e: e[1]) if negative else None
-            cert = is_nonnegative(t)
-            assert cert.witness == (worst and worst[0])
-            if worst:
-                assert cert.detail == f"entry {worst[0]} = {worst[1]}"
-            positive = [(idx, v) for idx, v in t.items() if off(idx) and v > 0]
-            cert = is_z_tensor(t)
-            assert cert.witness == (positive[0][0] if positive else None)
-            if positive:
-                assert cert.detail == f"off-diagonal entry {positive[0][0]} = {positive[0][1]} > 0"
+            assert_scans_match_items(t)
             split = ks_split(t)
             assert split.W.items() == tuple(e for e in t.items() if not off(e[0]) or e[1] < 0)
             assert split.N.items() == tuple(e for e in t.items() if off(e[0]) and e[1] >= 0)
             diag = [t.value((i,) * t.order) for i in range(t.dim)]
             assert t.diagonal().tolist() == diag
+
+    @settings(max_examples=60, deadline=None)
+    @given(permuted_entry_lists())
+    def test_witnesses_without_items_drawn(self, case):
+        order, dim, entries, _ = case
+        assert_scans_match_items(Tensor(order, dim, entries))
 
 
 class TestKSSplit:
@@ -747,7 +776,8 @@ class TestKSTensor:
 
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_one_m_check(self, monkeypatch, name):
-        # for a Z-tensor W = A, so the P-check's M-check serves W too
+        # `_m_check` is the M computation, which `_kept` runs once per
+        # tensor; for a Z-tensor W = A, so the P-check's M-check serves W too
         calls = count_calls(monkeypatch, classify, "_m_check")
         is_ks_tensor(builtin_tensor(name))
         assert len(calls) == 1
@@ -755,8 +785,9 @@ class TestKSTensor:
     @pytest.mark.parametrize("check", [is_p_tensor, is_ks_tensor])
     @pytest.mark.parametrize("name", BUILTIN_NAMES)
     def test_one_z_scan(self, monkeypatch, check, name):
-        # the M-checks behind both checks skip the entry scan already done
-        calls = count_calls(monkeypatch, classify, "is_z_tensor")
+        # `_z_scan` is the Z entry scan: the P part and the W part of the
+        # KS-check both read is_z_tensor, which scans once per tensor
+        calls = count_calls(monkeypatch, classify, "_z_scan")
         check(builtin_tensor(name))
         assert len(calls) == 1
 
@@ -787,6 +818,83 @@ class TestKSTensor:
                           (0, 1, 1): -1.0, (1, 0, 0): -1.0})
         cert = is_ks_tensor(t)
         assert cert.verdict is Verdict.REFUTED
+
+
+class TestKeptCertificates:
+    """The Z entry scan and the M-check run once per tensor and are kept on
+    it; the sampled checks run on every call."""
+
+    @pytest.mark.parametrize("tensor", KEPT_CASES)
+    def test_seven_checks_compute_once(self, monkeypatch, tensor):
+        tensor = fresh(tensor)
+        m_runs = count_calls(monkeypatch, classify, "_m_check")
+        z_scans = count_calls(monkeypatch, classify, "_z_scan")
+        seven_certificates(tensor, num_samples=50)
+        # a Z-tensor's M-check is its own; any other tensor's is its W's
+        assert len(z_scans) == 1 and z_scans[0] is tensor
+        assert len(m_runs) == 1
+        assert (m_runs[0] is tensor) == is_z_tensor(tensor).positive
+
+    @pytest.mark.parametrize("check", [is_nonsingular_m_tensor, is_p_tensor, is_ks_tensor])
+    @pytest.mark.parametrize("tensor", KEPT_CASES)
+    def test_second_call_contracts_only_samples(self, monkeypatch, check, tensor):
+        # outside the P-check's sampling, which is not kept, a second call
+        # contracts nothing: no M-check, Newton run or spectral bracket again
+        tensor = fresh(tensor)
+        first = check(tensor)
+        sampling = []
+        real_sample = classify._p_sample
+
+        def sample(*args):
+            sampling.append(True)
+            try:
+                return real_sample(*args)
+            finally:
+                sampling.pop()
+
+        outside = []
+        real_contract = Tensor.contract
+
+        def contract(t, x):
+            if not sampling:
+                outside.append(x)
+            return real_contract(t, x)
+
+        monkeypatch.setattr(classify, "_p_sample", sample)
+        monkeypatch.setattr(Tensor, "contract", contract)
+        again = check(tensor)
+        assert outside == []
+        assert certificate_key(again) == certificate_key(first)
+
+    @pytest.mark.parametrize("tensor", KEPT_CASES)
+    def test_reused_and_fresh_tensors_agree(self, tensor):
+        reused = fresh(tensor)
+        keys = [{k: certificate_key(c) for k, c in seven_certificates(t, 200).items()}
+                for t in (reused, reused, fresh(tensor))]
+        assert keys[0] == keys[1] == keys[2]
+
+    @pytest.mark.parametrize("tensor", KEPT_CASES)
+    def test_kept_witness_cannot_be_changed(self, tensor):
+        # each call gets its own copy of a kept witness and evidence, so
+        # changing them in place reaches no other caller
+        expected = {k: certificate_key(c)
+                    for k, c in seven_certificates(fresh(tensor), 50).items()}
+        tensor = fresh(tensor)
+        for _ in range(2):
+            for cert in seven_certificates(tensor, 50).values():
+                if isinstance(cert.witness, np.ndarray):
+                    cert.witness[:] = -7.0
+                cert.evidence.clear()
+        got = {k: certificate_key(c) for k, c in seven_certificates(tensor, 50).items()}
+        assert got == expected
+
+    def test_kept_witnesses_exist(self):
+        # the cases above change some kept array witness and evidence
+        certs = [c for t in KEPT_CASES for c in seven_certificates(fresh(t), 50).values()
+                 if c.method in ("positive_vector", "spectral_bracket", "z_m_equivalence",
+                                 "conjunction")]
+        assert any(isinstance(c.witness, np.ndarray) for c in certs)
+        assert any(c.evidence for c in certs)
 
 
 class TestZFunctionCheck:

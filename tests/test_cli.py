@@ -5,10 +5,16 @@ import ast
 import csv
 import io
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tcpsolve
 from tcpsolve import (builtin, classify, cli, generate_ks_instance, multistart_sparse,
                       parse_problem)
 from tcpsolve.problems import serialize_problem, serialize_tensor
@@ -76,6 +82,23 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"error: cannot read {path}: ")
         assert "utf-8" in err
+
+    def test_dimension_too_large_for_memory(self, tmp_path):
+        # the header admits dim = 2**45, but the classifier's dense vectors of
+        # that length take 256 TiB each: under a 4 GB address space their
+        # allocation fails, which is an error line and exit 2, not a traceback
+        path = tmp_path / "wide.tcp"
+        path.write_text("tcp v1 order=2 dim=35184372088832\n")
+        limit = 4 * 10 ** 9
+        src = str(Path(tcpsolve.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "tcpsolve.cli", "classify", "--tensor", str(path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith(f"error: cannot classify {path}: ")
+        assert "Traceback" not in done.stderr
 
     def test_infeasible_problem_reports_failure(self, capsys, tmp_path):
         path = tmp_path / "infeasible.tcp"
