@@ -1,7 +1,8 @@
 """Sparse solutions of tensor complementarity problems.
 
 Sparse coordinate tensors, structure classification (nonnegative, Z, M, P,
-and the KS class), a smoothing Newton QP solver, and an SQP driver for the
+and the KS class), an exact QP subproblem solver (direct solves, a
+least-squares step, a dual active-set method), and an SQP driver for the
 minimum-support reformulation min e'x s.t. A x^(m-1) = q, x >= 0.
 """
 

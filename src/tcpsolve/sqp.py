@@ -6,9 +6,10 @@ The sparsest-solution problem is relaxed to
 
 and solved by sequential quadratic programming: each iteration linearizes
 the equality constraint, solves the quadratic subproblem with `solve_qp`
-(directly, by least squares when it is infeasible, or by smoothing Newton),
-and globalizes with one Armijo backtracking line search on the l1 exact
-penalty merit, which judges every QP step and takes only a strict decrease;
+(directly, by least squares when it is infeasible, or by a dual active-set
+method), and globalizes with one Armijo backtracking line search on the l1
+exact penalty merit, which judges every QP step and takes only a decrease
+of more than the merit's rounding;
 the search scores its halvings in stacked contractions (`first_passing`).
 Lagrangian curvature is tracked by damped BFGS updates, so only constraint
 values and Jacobians of the tensor map are needed, each evaluated once per
@@ -31,6 +32,7 @@ A x^(m-1) = q, x >= 0 has exactly the solutions of the complementarity problem.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +54,7 @@ LINESEARCH_FAIL = "linesearch_fail"
 # DELTA is the safety margin of the penalty update and SIGMA0 the initial
 # penalty weight (the merit function uses 1/sigma).  Steps are backtracked
 # by RHO until the Armijo condition with slope fraction ETA (the slope capped
-# at -1e-12) holds and the merit falls strictly in floating point; after
+# at -1e-12) holds and the merit falls by more than 4 ulps; after
 # MAX_BACKTRACKS halvings without one the run ends as `linesearch_fail`.
 # HALVINGS holds their step lengths RHO^j, exact powers of two as in a loop.
 ETA = 0.1
@@ -317,17 +319,20 @@ def _support_solution(problem, x, eps2):
 def _line_search(problem, x, d, h, infeas, sigma):
     """(alpha, x + alpha*d, its h, its merit) for the first alpha = RHO^j,
     j <= MAX_BACKTRACKS, whose point meets the Armijo condition with a merit
-    strictly below that of x, or None; h and infeas belong to x.  A flat or
-    uphill slope estimate (roundoff at stationarity, or multipliers blown up
-    by degenerate rows) still demands a plain decrease.  The full step is
-    tried as a point and the halvings by `first_passing`.
+    below that of x by more than 4 ulps, or None; h and infeas belong to x.
+    A flat or uphill slope estimate (roundoff at stationarity, or
+    multipliers blown up by degenerate rows) still demands that decrease.
+    The full step is tried as a point and the halvings by `first_passing`.
     """
     slope = min(float(np.sum(d)) - infeas / sigma, -1e-12)
     phi0 = merit(x, h, sigma)
+    # a decrease of a few ulps is rounding, not progress: taking it let a
+    # start repeat a non-descent step at alpha ~ 1e-14 for 124 iterations
+    floor = phi0 - 4.0 * math.ulp(phi0)
 
     def passes(steps, points, values):
         merits = _merits(points, values - problem.q, sigma)
-        return (merits <= phi0 + ETA * steps * slope) & (merits < phi0)
+        return (merits <= phi0 + ETA * steps * slope) & (merits < floor)
 
     passed = (first_passing(problem.tensor, x, d, np.ones(1), passes)
               or first_passing(problem.tensor, x, d, HALVINGS, passes))
@@ -370,14 +375,14 @@ def sqp_solve(problem, x0, mu0=None, lam0=None, config=None):
 
     for k in range(cfg.max_iter):
         sub = QP(B=b, c=ones, Aeq=jac, h=h, g=x)
-        qp_res = solve_qp(sub, mu, lam)
+        qp_res = solve_qp(sub)
         iterations = k + 1
         d = qp_res.d
         if not qp_res.converged:
             # far from a solution the linearized subproblem can be infeasible
             # (square Aeq forces d, which may violate the bounds); its least-
-            # squares step, like a loop answer that missed its stop test, is
-            # still useful when the merit line search takes it
+            # squares step is still useful when the merit line search takes
+            # it.  A QP with no exact answer gives d = 0, which it rejects
             inexact_qps += 1
             if inexact_qps == 1:
                 notes.append(f"iteration {k}: QP subproblem inexact (status "

@@ -4,6 +4,7 @@ multistart driver against known sparsest solutions of the builtins."""
 
 import inspect
 import itertools
+import math
 import warnings
 from dataclasses import replace
 
@@ -318,8 +319,8 @@ class TestSQPSolve:
         # fails at once and the support solve takes over
         real = sqp.solve_qp
 
-        def tiny_step(qp, mu0, lam0):
-            res = real(qp, mu0, lam0)
+        def tiny_step(qp):
+            res = real(qp)
             return replace(res, d=np.full(qp.n, 1e-30))
 
         monkeypatch.setattr(sqp, "solve_qp", tiny_step)
@@ -339,7 +340,7 @@ class TestSQPSolve:
         seen = record_evaluations(monkeypatch)
         marks = {}   # contractions so far when the QP returned / support began
 
-        def unusable(qp, mu0, lam0):
+        def unusable(qp):
             marks["qp"] = len(seen["contract"])
             return QPResult(d=np.array(step), mu=np.zeros(qp.n),
                             lam=np.zeros(qp.n), status="max_iter", iterations=200,
@@ -458,6 +459,19 @@ class TestSQPSolve:
             "linesearch_fail run completed by a Newton solve on a candidate support"]
         assert solves_both_systems(problem, report.x, SQPConfig().eps2)
         np.testing.assert_array_equal(report.x, reference_solution(name)[0])
+
+    @pytest.mark.parametrize("name, k, seed", [("ex5_3", 19, 8), ("ex5_4", 10, 7)])
+    def test_no_crawl_on_rounding_decreases(self, name, k, seed):
+        # the least-squares step of these starts is no descent direction for
+        # the merit; a strict decrease took it at alpha ~ 1e-14 for 1-5 ulps
+        # of the merit, 124 and 77 times, before the search failed.  Under
+        # the 4-ulp floor the search fails at once and the support solve
+        # finds the reference point
+        problem = builtin(name)
+        report = sqp_solve(problem, *multistart_start(problem, k, seed))
+        assert report.converged and report.solved_by == "support"
+        assert report.iterations <= 5
+        np.testing.assert_allclose(report.x, reference_solution(name)[0], atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 4, 13, 14, 16])
     def test_identified_finish_descends(self, k):
@@ -773,16 +787,17 @@ def reference_newton(tensor, rhs, support, x0, until=None):
 def reference_line_search(problem, x, d, h, infeas, sigma):
     """`sqp._line_search` with one point contraction per step length, as a
     plain loop; also returns the number of backtracks taken.  A step is
-    taken only when its merit is strictly below that of x."""
+    taken only when its merit is below that of x by more than 4 ulps."""
     slope = min(float(np.sum(d)) - infeas / sigma, -1e-12)
     phi0 = merit(x, h, sigma)
+    floor = phi0 - 4.0 * math.ulp(phi0)
     alpha = 1.0
     for j in range(sqp.MAX_BACKTRACKS + 1):
         x_new = x + alpha * d
         if not np.array_equal(x_new, x):
             h_new = constraint_value(problem, x_new)
             phi_new = merit(x_new, h_new, sigma)
-            if phi_new <= phi0 + sqp.ETA * alpha * slope and phi_new < phi0:
+            if phi_new <= phi0 + sqp.ETA * alpha * slope and phi_new < floor:
                 return (alpha, x_new, h_new, phi_new), j
         alpha *= sqp.RHO
     return None, sqp.MAX_BACKTRACKS + 1
